@@ -6,7 +6,7 @@ eta = 1. The runner-up family has a closed-form efficiency depending on a
 single weight alpha; this script evaluates it directly and through the
 general work/erasure route to show they match.
 """
-from spinszilard import information
+from spinszilard import information, phase
 from spinszilard.boson import BosonFilling
 from spinszilard.core import BOLTZMANN, SpinStatistics, ThermalPoint, WellGeometry
 from spinszilard.fermion import decompose
@@ -41,7 +41,7 @@ for s in (0, 1, 5, 20):
     print(f"  s = {s:2d}: direct {direct:.9f}  closed form {closed:.9f}")
 
 print()
-report = information.extremal_report(SpinStatistics.fermion(9), geometry)
+report = phase.extremal_report(SpinStatistics.fermion(9), geometry)
 print("fermion u=5 summary:")
 print(f"  zero-absorption remainders k: {report.zero_absorption}")
 print(f"  maximum work k: {report.max_work_configs} at {report.max_work_per_kbt:.4f} k_B T")

@@ -10,7 +10,6 @@ from .core import (
     WellGeometry,
     WorkDecomposition,
     level_energy,
-    reference_energy,
 )
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "WellGeometry",
     "WorkDecomposition",
     "level_energy",
-    "reference_energy",
 ]
 
 __version__ = "0.1.0"

@@ -9,17 +9,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .combinatorics import binomial_ratio, log_binomial
-from .core import (
-    BOLTZMANN,
-    MeasurementDistribution,
-    ThermalPoint,
-    WellGeometry,
-    WorkDecomposition,
-)
+from .combinatorics import binomial
+from .core import WellGeometry, WorkDecomposition
 from .equilibrium import boson_eq_ratio, level_split, wall_position
+from .information import (  # noqa: F401  (re-exported species-agnostic path)
+    Outcome,
+    log_post_expansion_weight,
+    measurement_distribution,
+    post_expansion_weight,
+    relative_entropy_work,
+    total_work,
+    work_coefficients,
+)
 
 
 @dataclass(frozen=True)
@@ -39,103 +40,19 @@ class BosonFilling:
     def support(self) -> range:
         return range(0, self.N + 1)
 
+    @property
+    def total_ways(self) -> int:
+        return binomial(self.N + 4 * self.s + 1, 4 * self.s + 1)
 
-def _weight(filling: BosonFilling, m: int) -> float:
-    s2 = 2 * filling.s
-    N = filling.N
-    return binomial_ratio(
-        [(m + s2, s2), (N - m + s2, s2)],
-        [(N + 2 * s2 + 1, 2 * s2 + 1)],
-    )
+    @property
+    def edge_ways(self) -> int:
+        return binomial(self.N + 2 * self.s, self.N)
 
-
-def _delta_e(filling: BosonFilling, m: int, geometry: WellGeometry) -> float:
-    ratio = boson_eq_ratio(m, filling.N)
-    wall = wall_position(ratio, geometry)
-    return level_split(1, wall, geometry).delta_e
-
-
-def measurement_distribution(filling: BosonFilling) -> MeasurementDistribution:
-    """Probabilities f_m over m in [0, N]; symmetric under m <-> N-m."""
-    support = np.arange(filling.N + 1, dtype=np.int64)
-    probs = np.array([_weight(filling, int(m)) for m in support])
-    return MeasurementDistribution(support=support, probabilities=probs)
-
-
-def log_post_expansion_weight(
-    filling: BosonFilling,
-    m: int,
-    geometry: WellGeometry,
-    thermal: ThermalPoint,
-) -> float:
-    """ln f_m*; log-domain so deep low-T exponents do not underflow."""
-    N = filling.N
-    if m < 0 or m > N:
-        raise ValueError(f"require 0 <= m <= N, got m={m}, N={N}")
-    beta = thermal.beta
-    s2 = 2 * filling.s
-    if m == 0 or m == N:
-        # the wall reaches a box end
-        return 0.0
-    if N % 2 == 0 and 2 * m == N:
-        return math.log(
-            binomial_ratio([(N // 2 + s2, s2), (N // 2 + s2, s2)], [(N + 2 * s2 + 1, N)])
-        )
-    mu = min(m, N - m)
-    log_weight = math.log(binomial_ratio([(m + s2, s2), (N - m + s2, s2)], [(N + s2, N)]))
-    return log_weight - mu * beta * _delta_e(filling, m, geometry)
-
-
-def post_expansion_weight(
-    filling: BosonFilling,
-    m: int,
-    geometry: WellGeometry,
-    thermal: ThermalPoint,
-) -> float:
-    """Relative weight f_m* with the wall at the m-outcome equilibrium position."""
-    return math.exp(log_post_expansion_weight(filling, m, geometry, thermal))
-
-
-def work_coefficients(filling: BosonFilling, geometry: WellGeometry) -> WorkDecomposition:
-    """Slope D_B and zero-temperature absorbed work W_0B of the affine work law."""
-    N = filling.N
-    s2 = 2 * filling.s
-    if N == 0:
-        return WorkDecomposition(slope=0.0, absorbed=0.0)
-    log_ratio = log_binomial(N + 2 * s2 + 1, 2 * s2 + 1) - log_binomial(N + s2, N)
-    if N % 2 == 1:
-        slope = log_ratio
-        upper = (N - 1) // 2
-    else:
-        central = binomial_ratio(
-            [(N // 2 + s2, s2), (N // 2 + s2, s2)], [(N + 2 * s2 + 1, N)]
-        )
-        slope = (1.0 - central) * log_ratio
-        upper = N // 2 - 1
-    absorbed = 0.0
-    for m in range(1, upper + 1):
-        absorbed += m * _weight(filling, m) * _delta_e(filling, m, geometry)
-    absorbed *= 2.0
-    return WorkDecomposition(slope=slope, absorbed=absorbed)
-
-
-def total_work(filling: BosonFilling, geometry: WellGeometry, thermal: ThermalPoint) -> float:
-    """Total cycle work D_B k_B T - W_0B (affine in T, valid at T = 0)."""
-    return work_coefficients(filling, geometry).total_work(thermal)
-
-
-def relative_entropy_work(
-    filling: BosonFilling, geometry: WellGeometry, thermal: ThermalPoint
-) -> float:
-    """Direct -k_B T sum f_m ln(f_m / f_m*) evaluation, for cross-checking."""
-    dist = measurement_distribution(filling)
-    acc = 0.0
-    for m, f in zip(dist.support, dist.probabilities):
-        if f <= 0:
-            continue
-        log_fstar = log_post_expansion_weight(filling, int(m), geometry, thermal)
-        acc += f * (math.log(f) - log_fstar)
-    return -BOLTZMANN * thermal.temperature * acc
+    def outcome(self, m: int) -> Outcome:
+        """m bosons in the 2s+1 left and N-m in the 2s+1 right ground-level modes."""
+        s2 = 2 * self.s
+        ways = binomial(m + s2, s2) * binomial(self.N - m + s2, s2)
+        return Outcome(ways, 1, boson_eq_ratio(m, self.N))
 
 
 def large_spin_limits(N: int, geometry: WellGeometry) -> WorkDecomposition:
@@ -150,9 +67,9 @@ def large_spin_limits(N: int, geometry: WellGeometry) -> WorkDecomposition:
     else:
         slope = (1.0 - math.comb(N, N // 2) / 2.0**N) * N * math.log(2.0)
         upper = N // 2 - 1
-    dummy = BosonFilling(N=N, s=0)
     absorbed = 0.0
     for m in range(1, upper + 1):
-        absorbed += m * math.comb(N, m) * _delta_e(dummy, m, geometry)
+        wall = wall_position(boson_eq_ratio(m, N), geometry)
+        absorbed += m * math.comb(N, m) * level_split(1, wall, geometry).delta_e
     absorbed /= 2.0 ** (N - 1)
     return WorkDecomposition(slope=slope, absorbed=absorbed)

@@ -25,6 +25,7 @@ from .core import (
     ThermalPoint,
     WellGeometry,
 )
+from .equilibrium import wall_position
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -48,6 +49,14 @@ class ToleranceExceeded(Exception):
 
 def _fmt(x: float) -> str:
     return f"{x:.8e}"
+
+
+def _exp_cell(log_value: float) -> float | str:
+    """exp(log_value), or UNDEFINED where the value overflows a float."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return UNDEFINED
 
 
 def _json_dumps(obj: Any, indent: int = 0) -> str:
@@ -241,18 +250,13 @@ def _work_row(
     spin: SpinStatistics, geometry: WellGeometry, N: int, T: float
 ) -> dict[str, Any]:
     e0 = geometry.reference_energy
+    filling = phase.filling(spin, N)
+    coeffs = information.work_coefficients(filling, geometry)
+    n_str, k_str = "", ""
     if spin.kind is ParticleKind.FERMION:
-        filling = fermion.decompose(N, spin.u)
-        coeffs = fermion.work_coefficients(filling, geometry)
         n_str, k_str = str(filling.n), str(filling.k)
-    else:
-        coeffs = boson.work_coefficients(boson.BosonFilling(N=N, s=spin.s), geometry)
-        n_str, k_str = "", ""
     w_tot = coeffs.total_work(ThermalPoint(T))
-    if coeffs.slope > 0:
-        tc = _fmt(coeffs.absorbed / (coeffs.slope * BOLTZMANN))
-    else:
-        tc = UNDEFINED
+    tc = _fmt(phase.critical_temperature(coeffs)) if coeffs.slope > 0 else UNDEFINED
     per_kbt = _fmt(w_tot / (BOLTZMANN * T)) if T > 0 else UNDEFINED
     return {
         "species": spin.kind.value,
@@ -305,19 +309,15 @@ def cmd_distribution(args: argparse.Namespace) -> int:
         if t_values[0] <= 0:
             raise ConfigError("post-expansion weights require --temp > 0")
         thermal = ThermalPoint(t_values[0])
-    if spin.kind is ParticleKind.FERMION:
-        filling: Any = fermion.decompose(N, spin.u)
-        module: Any = fermion
-    else:
-        filling = boson.BosonFilling(N=N, s=spin.s)
-        module = boson
-    dist = module.measurement_distribution(filling)
+    filling = phase.filling(spin, N)
+    dist = information.measurement_distribution(filling)
     stars = None
     if thermal is not None:
         stars = [
-            module.post_expansion_weight(filling, int(m), geometry, thermal)
+            _exp_cell(information.log_post_expansion_weight(filling, int(m), geometry, thermal))
             for m in dist.support
         ]
+        _check_strict(args, stars)
     fmt = args.format or "json"
     if fmt == "json":
         payload: dict[str, Any] = {
@@ -338,7 +338,7 @@ def cmd_distribution(args: argparse.Namespace) -> int:
         for i, m in enumerate(dist.support):
             row = [str(int(m)), _fmt(float(dist.probabilities[i]))]
             if stars is not None:
-                row.append(_fmt(stars[i]))
+                row.append(UNDEFINED if stars[i] == UNDEFINED else _fmt(stars[i]))
             rows.append(row)
         _emit(_csv_text(header, rows), args.out)
     print(f"sum f_m = {_fmt(dist.total())}", file=sys.stderr)
@@ -402,18 +402,15 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
     thermal = ThermalPoint(t_values[0])
     rows = []
     for N in n_values:
+        filling = phase.filling(spin, N)
         if spin.kind is ParticleKind.FERMION:
-            filling: Any = fermion.decompose(N, spin.u)
-            module: Any = fermion
-            second = filling.k in (2, 4 * spin.u - 2) and spin.u >= 1
+            second = filling.k in (2, 4 * spin.u - 2)
             alpha = (2.0 * spin.u - 1.0) / (4.0 * spin.u - 1.0)
         else:
-            filling = boson.BosonFilling(N=N, s=spin.s)
-            module = boson
             second = N == 2
             alpha = (2.0 * spin.s + 2.0) / (4.0 * spin.s + 3.0)
-        w_tot = module.total_work(filling, geometry, thermal)
-        dist = module.measurement_distribution(filling)
+        w_tot = information.total_work(filling, geometry, thermal)
+        dist = information.measurement_distribution(filling)
         w_eras = information.erasure_work(dist, thermal)
         w_net = information.net_work(filling, geometry, thermal)
         if w_eras == 0.0:
@@ -471,14 +468,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     cycle = oracle.ensemble_cycle(
         N, spin, geometry, thermal, insertion=insertion_frac * L, n_max=n_max
     )
-    if spin.kind is ParticleKind.FERMION:
-        filling: Any = fermion.decompose(N, spin.u)
-        module: Any = fermion
-    else:
-        filling = boson.BosonFilling(N=N, s=spin.s)
-        module = boson
-    analytic_dist = module.measurement_distribution(filling)
-    analytic_work = module.total_work(filling, geometry, thermal)
+    filling = phase.filling(spin, N)
+    analytic_dist = information.measurement_distribution(filling)
+    analytic_work = information.total_work(filling, geometry, thermal)
 
     rows = []
     max_df = 0.0
@@ -488,18 +480,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         f_analytic = analytic_dist.probability(m)
         leq_exact = cycle.equilibria[m].position / L
         leq_analytic: float | None = None
-        if m in getattr(filling, "support", range(0)):
-            if spin.kind is ParticleKind.FERMION:
-                p = m - 2 * spin.u * filling.n
-                from .equilibrium import fermion_eq_ratio, wall_position
-
-                ratio = fermion_eq_ratio(spin.u, filling.n, filling.k, p)
-                leq_analytic = wall_position(ratio, geometry).position / L
-            else:
-                from .equilibrium import boson_eq_ratio, wall_position
-
-                ratio = boson_eq_ratio(m, N)
-                leq_analytic = wall_position(ratio, geometry).position / L
+        if m in filling.support:
+            leq_analytic = wall_position(filling.outcome(m).ratio, geometry).position / L
         delta_f = abs(f_exact - f_analytic)
         max_df = max(max_df, delta_f)
         delta_l = abs(leq_exact - leq_analytic) if leq_analytic is not None else 0.0
@@ -578,7 +560,7 @@ def cmd_limits(args: argparse.Namespace) -> int:
         header = ["k", "D_F", "avg_W0F_limit_joule", "avg_W0F_limit_per_E0"]
         rows = []
         for k in range(4 * u):
-            coeffs = fermion.work_coefficients(fermion.decompose(k, u), geometry)
+            coeffs = information.work_coefficients(fermion.decompose(k, u), geometry)
             limit = fermion.average_absorbed_work_limit(u, k, geometry)
             rows.append([str(k), _fmt(coeffs.slope), _fmt(limit), _fmt(limit / e0)])
     else:

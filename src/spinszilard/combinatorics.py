@@ -1,16 +1,13 @@
 """Exact binomial coefficients and bosonic state counts.
 
 Every probability in this package is a ratio of binomial coefficients.
-They are kept as exact integers and divided at the last step; when the
-arguments get large enough that building the integers is wasteful
-(arbitrary threshold 5000), ratios switch to a log-gamma path.
+They are kept as exact integers: ratios are divided at the last step
+(Python's int/int division is correctly rounded) and logarithms are taken
+of the integers themselves, so no intermediate float can overflow.
 """
 from __future__ import annotations
 
 import math
-
-#: Arguments above this size route probability ratios through log-gamma.
-LOG_PATH_THRESHOLD = 5000
 
 
 def binomial(a: int, b: int) -> int:
@@ -23,10 +20,10 @@ def binomial(a: int, b: int) -> int:
 
 
 def log_binomial(a: int, b: int) -> float:
-    """ln C(a, b) via log-gamma; domain error outside 0 <= b <= a."""
+    """ln C(a, b) of the exact integer; domain error outside 0 <= b <= a."""
     if a < 0 or b < 0 or b > a:
         raise ValueError(f"log_binomial requires 0 <= b <= a, got a={a}, b={b}")
-    return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
+    return math.log(math.comb(a, b))
 
 
 def bose_state_count(degeneracy: int, particles: int) -> int:
@@ -36,23 +33,3 @@ def bose_state_count(degeneracy: int, particles: int) -> int:
     if particles < 0:
         raise ValueError(f"particle count must be >= 0, got {particles}")
     return binomial(degeneracy + particles - 1, particles)
-
-
-def binomial_ratio(numerators: list[tuple[int, int]], denominators: list[tuple[int, int]]) -> float:
-    """Product of C(a,b) over ``numerators`` divided by the same over ``denominators``.
-
-    Exact-integer arithmetic when all arguments are small, log-gamma otherwise.
-    Returns 0.0 when any numerator is out of range.
-    """
-    if any(b < 0 or b > a for a, b in numerators):
-        return 0.0
-    if any(b < 0 or b > a for a, b in denominators):
-        raise ValueError("denominator binomial out of range")
-    large = any(a > LOG_PATH_THRESHOLD for a, _ in numerators + denominators)
-    if large:
-        log_value = sum(log_binomial(a, b) for a, b in numerators)
-        log_value -= sum(log_binomial(a, b) for a, b in denominators)
-        return math.exp(log_value)
-    num = math.prod(binomial(a, b) for a, b in numerators)
-    den = math.prod(binomial(a, b) for a, b in denominators)
-    return num / den

@@ -122,11 +122,6 @@ def level_energy(n: int, width: float, geometry: WellGeometry) -> float:
     return (n * n) * math.pi**2 * HBAR**2 / (2.0 * geometry.mass * width * width)
 
 
-def reference_energy(geometry: WellGeometry) -> float:
-    """E0 of the full well (see :attr:`WellGeometry.reference_energy`)."""
-    return geometry.reference_energy
-
-
 @dataclass(frozen=True)
 class MeasurementDistribution:
     """Probabilities of finding m particles in the left half after the wall insertion.

@@ -57,13 +57,13 @@ def fermion_eq_ratio(u: int, n: int, k: int, p: int) -> float:
 
 
 def boson_eq_ratio(m: int, N: int) -> float:
-    """Equilibrium ratio for m of N ground-level bosons on the left: (m/(N-m))^(1/3)."""
-    if N < 1:
-        raise ValueError(f"require N >= 1, got {N}")
+    """Equilibrium ratio for m of N ground-level bosons on the left: (m/(N-m))^(1/3), 1 if N = 0."""
+    if N < 0:
+        raise ValueError(f"require N >= 0, got {N}")
     if m < 0 or m > N:
         raise ValueError(f"require 0 <= m <= N, got m={m}, N={N}")
     if m == N:
-        return math.inf
+        return math.inf if N else 1.0
     return (m / (N - m)) ** (1.0 / 3.0)
 
 

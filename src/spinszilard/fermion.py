@@ -2,8 +2,9 @@
 
 With N = 4un + k particles (u = s + 1/2), the n lowest levels of each half
 are completely filled and only the k remainder particles on level n+1 carry
-statistical weight. For k < 2u the particles on that level are counted
-directly; for k >= 2u the unoccupied states (holes) are counted instead.
+statistical weight: C(2u, p) C(2u, k-p) configurations leave p of them on
+the left. For k < 2u the paper counts these particles directly; for k >= 2u
+it counts the unoccupied states (holes) instead, which gives the same counts.
 """
 from __future__ import annotations
 
@@ -11,18 +12,18 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .combinatorics import binomial, binomial_ratio
-from .core import (
-    BOLTZMANN,
-    HBAR,
-    MeasurementDistribution,
-    ThermalPoint,
-    WellGeometry,
-    WorkDecomposition,
+from .combinatorics import binomial
+from .core import HBAR, WellGeometry
+from .equilibrium import fermion_eq_ratio
+from .information import (  # noqa: F401  (re-exported species-agnostic path)
+    Outcome,
+    log_post_expansion_weight,
+    measurement_distribution,
+    post_expansion_weight,
+    relative_entropy_work,
+    total_work,
+    work_coefficients,
 )
-from .equilibrium import fermion_eq_ratio, level_split, wall_position
 
 
 class FillingCase(enum.Enum):
@@ -45,12 +46,24 @@ class FermionFilling:
 
     @property
     def support(self) -> range:
-        """m values with nonzero probability after measurement."""
+        """m = 2un + p for every count p of remainder particles the left half can hold."""
         base = 2 * self.u * self.n
-        if self.case is FillingCase.PARTICLE:
-            return range(base, base + self.k + 1)
-        top = 2 * self.u * (self.n + 1)
-        return range(base + self.k - 2 * self.u, top + 1)
+        return range(base + max(0, self.k - 2 * self.u), base + min(self.k, 2 * self.u) + 1)
+
+    @property
+    def total_ways(self) -> int:
+        return binomial(4 * self.u, self.k)
+
+    @property
+    def edge_ways(self) -> int:
+        return binomial(2 * self.u, min(self.k, 4 * self.u - self.k))
+
+    def outcome(self, m: int) -> Outcome:
+        """Outcome m leaves p = m - 2un of the remainder particles on the left."""
+        u2 = 2 * self.u
+        p = m - u2 * self.n
+        ways = binomial(u2, p) * binomial(u2, self.k - p)
+        return Outcome(ways, self.n + 1, fermion_eq_ratio(self.u, self.n, self.k, p))
 
 
 def decompose(N: int, u: int) -> FermionFilling:
@@ -61,119 +74,6 @@ def decompose(N: int, u: int) -> FermionFilling:
         raise ValueError(f"u must be >= 1, got {u}")
     n, k = divmod(N, 4 * u)
     return FermionFilling(N=N, u=u, n=n, k=k)
-
-
-def _hole_count(filling: FermionFilling) -> int:
-    """Remainder size in the active representation (k, or 4u-k for holes)."""
-    if filling.case is FillingCase.PARTICLE:
-        return filling.k
-    return 4 * filling.u - filling.k
-
-
-def _active_index(filling: FermionFilling, m: int) -> int:
-    """p (particles left) or q (holes left) on the partly filled level."""
-    if filling.case is FillingCase.PARTICLE:
-        return m - 2 * filling.u * filling.n
-    return 2 * filling.u * (filling.n + 1) - m
-
-
-def _weight(filling: FermionFilling, idx: int) -> float:
-    """f_m as a ratio of binomials; idx is p or q depending on the case."""
-    u2 = 2 * filling.u
-    kk = _hole_count(filling)
-    return binomial_ratio([(u2, idx), (u2, kk - idx)], [(2 * u2, kk)])
-
-
-def _delta_e(filling: FermionFilling, idx: int, geometry: WellGeometry) -> float:
-    """Exact splitting of level n+1 at the equilibrium position for this outcome."""
-    if filling.case is FillingCase.PARTICLE:
-        p = idx
-    else:
-        p = 2 * filling.u - idx
-    ratio = fermion_eq_ratio(filling.u, filling.n, filling.k, p)
-    wall = wall_position(ratio, geometry)
-    return level_split(filling.n + 1, wall, geometry).delta_e
-
-
-def measurement_distribution(filling: FermionFilling) -> MeasurementDistribution:
-    """Probabilities f_m over the ground-state support after wall insertion."""
-    support = np.array(list(filling.support), dtype=np.int64)
-    probs = np.array([_weight(filling, _active_index(filling, int(m))) for m in support])
-    return MeasurementDistribution(support=support, probabilities=probs)
-
-
-def log_post_expansion_weight(
-    filling: FermionFilling,
-    m: int,
-    geometry: WellGeometry,
-    thermal: ThermalPoint,
-) -> float:
-    """ln f_m*; log-domain so deep low-T exponents do not underflow."""
-    if m not in filling.support:
-        raise ValueError(f"m={m} is outside the ground-state support {filling.support}")
-    beta = thermal.beta
-    u2 = 2 * filling.u
-    kk = _hole_count(filling)
-    idx = _active_index(filling, m)
-    if kk % 2 == 0 and idx * 2 == kk:
-        # symmetric loading: the wall stays at L/2 and no tunnelling bias exists
-        return math.log(binomial_ratio([(u2, kk // 2), (u2, kk // 2)], [(2 * u2, kk)]))
-    mu = min(idx, kk - idx)
-    log_weight = math.log(binomial_ratio([(u2, idx), (u2, kk - idx)], [(u2, kk)]))
-    if mu == 0:
-        # the wall reaches a box end; the combinatorial ratio is already 1
-        return log_weight
-    return log_weight - mu * beta * _delta_e(filling, idx, geometry)
-
-
-def post_expansion_weight(
-    filling: FermionFilling,
-    m: int,
-    geometry: WellGeometry,
-    thermal: ThermalPoint,
-) -> float:
-    """Relative weight f_m* of the m-outcome with the wall at its equilibrium position."""
-    return math.exp(log_post_expansion_weight(filling, m, geometry, thermal))
-
-
-def work_coefficients(filling: FermionFilling, geometry: WellGeometry) -> WorkDecomposition:
-    """Slope D_F and zero-temperature absorbed work W_0F of the affine work law."""
-    u2 = 2 * filling.u
-    kk = _hole_count(filling)
-    log_ratio = 0.0 if kk == 0 else math.log(binomial(2 * u2, kk) / binomial(u2, kk))
-    if kk % 2 == 1:
-        slope = log_ratio
-        upper = (kk - 1) // 2
-    else:
-        central = 0.0
-        if kk > 0:
-            central = binomial_ratio([(u2, kk // 2), (u2, kk // 2)], [(2 * u2, kk)])
-        slope = (1.0 - central) * log_ratio
-        upper = kk // 2 - 1
-    absorbed = 0.0
-    for idx in range(1, upper + 1):
-        absorbed += idx * _weight(filling, idx) * _delta_e(filling, idx, geometry)
-    absorbed *= 2.0
-    return WorkDecomposition(slope=slope, absorbed=absorbed)
-
-
-def total_work(filling: FermionFilling, geometry: WellGeometry, thermal: ThermalPoint) -> float:
-    """Total cycle work D_F k_B T - W_0F (affine in T, valid at T = 0)."""
-    return work_coefficients(filling, geometry).total_work(thermal)
-
-
-def relative_entropy_work(
-    filling: FermionFilling, geometry: WellGeometry, thermal: ThermalPoint
-) -> float:
-    """Direct -k_B T sum f_m ln(f_m / f_m*) evaluation, for cross-checking."""
-    dist = measurement_distribution(filling)
-    acc = 0.0
-    for m, f in zip(dist.support, dist.probabilities):
-        if f <= 0:
-            continue
-        log_fstar = log_post_expansion_weight(filling, int(m), geometry, thermal)
-        acc += f * (math.log(f) - log_fstar)
-    return -BOLTZMANN * thermal.temperature * acc
 
 
 def average_absorbed_work(filling: FermionFilling, geometry: WellGeometry) -> float:
@@ -192,12 +92,10 @@ def average_absorbed_work_limit(u: int, k: int, geometry: WellGeometry) -> float
         raise ValueError(f"u must be >= 1, got {u}")
     if not 0 <= k < 4 * u:
         raise ValueError(f"require 0 <= k < 4u, got k={k}, u={u}")
-    filling = FermionFilling(N=k, u=u, n=0, k=k)
-    u2 = 2 * u
-    kk = _hole_count(filling)
-    upper = (kk - 1) // 2 if kk % 2 == 1 else kk // 2 - 1
+    probs = measurement_distribution(FermionFilling(N=k, u=u, n=0, k=k)).probabilities.tolist()
+    kk = len(probs) - 1  # particles, or holes for k >= 2u, on the partly filled level
     total = 0.0
-    for idx in range(1, upper + 1):
-        total += idx * _weight(filling, idx) * (kk - 2 * idx)
+    for idx in range(1, (kk - 1) // 2 + 1):
+        total += idx * probs[idx] * (kk - 2 * idx)
     scale = math.pi**2 * HBAR**2 / (u * u * geometry.mass * geometry.length**2)
     return scale * total

@@ -1,4 +1,4 @@
-"""Critical temperatures and (N, T) work grids for the phase diagrams.
+"""Critical temperatures, (N, T) work grids and extremal configurations.
 
 A configuration with positive slope D has a single sign change of the
 total work at T_c = W_0 / (D k_B). Configurations with D = 0 (fermion
@@ -8,20 +8,22 @@ from numeric failure.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import boson, fermion
+from .boson import BosonFilling
 from .core import (
     BOLTZMANN,
     ParticleKind,
     SpinStatistics,
-    ThermalPoint,
     WellGeometry,
     WorkDecomposition,
 )
+from .fermion import FermionFilling, decompose
+from .information import work_coefficients
 
 
 class UndefinedQuantityError(ValueError):
@@ -47,10 +49,11 @@ class WorkGrid:
     work: np.ndarray
 
 
-def _coefficients(spin: SpinStatistics, N: int, geometry: WellGeometry) -> WorkDecomposition:
+def filling(spin: SpinStatistics, N: int) -> FermionFilling | BosonFilling:
+    """The filling of N particles of this species: the one place a species is picked."""
     if spin.kind is ParticleKind.FERMION:
-        return fermion.work_coefficients(fermion.decompose(N, spin.u), geometry)
-    return boson.work_coefficients(boson.BosonFilling(N=N, s=spin.s), geometry)
+        return decompose(N, spin.u)
+    return BosonFilling(N=N, s=spin.s)
 
 
 def critical_temperature(coeffs: WorkDecomposition) -> float:
@@ -69,7 +72,7 @@ def phase_curve(
         raise ValueError("n_values must be non-empty")
     points = []
     for N in n_list:
-        coeffs = _coefficients(spin, N, geometry)
+        coeffs = work_coefficients(filling(spin, N), geometry)
         if coeffs.slope == 0.0:
             points.append(PhasePoint(N=N, critical_temperature=None))
         else:
@@ -92,6 +95,53 @@ def work_grid(
     t_arr = np.asarray(temperatures, dtype=np.float64)
     work = np.empty((n_arr.size, t_arr.size))
     for i, N in enumerate(n_arr):
-        coeffs = _coefficients(spin, int(N), geometry)
+        coeffs = work_coefficients(filling(spin, int(N)), geometry)
         work[i, :] = coeffs.slope * BOLTZMANN * t_arr - coeffs.absorbed
     return WorkGrid(n_values=n_arr, temperatures=t_arr, work=work)
+
+
+@dataclass(frozen=True)
+class ExtremalReport:
+    """Zero-absorption sets and the extremal-work/efficiency configurations."""
+
+    species: ParticleKind
+    zero_absorption: tuple[int, ...]
+    max_work_configs: tuple[int, ...]
+    max_work_per_kbt: float
+    unit_efficiency_configs: tuple[int, ...]
+    boson_beats_fermion_max_work: bool = True
+
+
+def extremal_report(spin: SpinStatistics, geometry: WellGeometry) -> ExtremalReport:
+    """Summarize where the engine extracts most, absorbs nothing, or runs reversibly.
+
+    Fermion entries index the remainder k in [0, 4u); boson entries index N.
+    The boson-over-fermion maximum-work comparison is evaluated, not assumed.
+    """
+    ln2 = math.log(2.0)
+    if spin.kind is ParticleKind.FERMION:
+        u = spin.u
+        candidates = range(4 * u)
+        max_cfg = tuple(sorted({1, 4 * u - 1}))
+        unit_cfg = max_cfg
+        # weakest boson competitor in the scan: the spinless N=2 engine
+        best = ln2
+        boson_best = (2.0 / 3.0) * math.log(3.0)
+    else:
+        s = spin.s
+        candidates = range(3)
+        max_cfg = (2,)
+        unit_cfg = (1,)
+        best = (2.0 * s + 2.0) / (4.0 * s + 3.0) * math.log((4.0 * s + 3.0) / (s + 1.0))
+        boson_best = best
+    zero = tuple(
+        x for x in candidates if work_coefficients(filling(spin, x), geometry).absorbed == 0.0
+    )
+    return ExtremalReport(
+        species=spin.kind,
+        zero_absorption=zero,
+        max_work_configs=max_cfg,
+        max_work_per_kbt=best,
+        unit_efficiency_configs=unit_cfg,
+        boson_beats_fermion_max_work=boson_best > ln2,
+    )

@@ -415,3 +415,44 @@ def test_config_file_errors(tmp_path, capsys):
     bad.write_text("not-a-key = 1\n")
     assert run(["work", "--n", "3", "--temp", "1", "--config", str(bad)]) == 2
     assert run(["work", "--n", "3", "--temp", "1", "--config", str(tmp_path / "nope")]) == 2
+
+
+def _numbers(value):
+    """Every numeric cell of a parsed JSON payload or CSV text."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for item in value for x in _numbers(item)]
+    if isinstance(value, (int, float)):
+        return [float(value)]
+    cells = value.replace("\n", ",").split(",")
+    numbers = []
+    for cell in cells:
+        try:
+            numbers.append(float(cell))
+        except ValueError:
+            pass  # labels, headers and "undefined" markers
+    return numbers
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["work", "--species", "fermion", "--two-s", "2001", "--n", "2001", "--temp", "0.1"],
+        ["distribution", "--species", "fermion", "--two-s", "2001", "--n", "2001", "--temp", "0.1"],
+        ["efficiency", "--species", "fermion", "--two-s", "2001", "--n", "2001", "--temp", "0.1"],
+        ["phase", "--species", "fermion", "--two-s", "2001", "--n-range", "2000:2002"],
+        ["distribution", "--species", "boson", "--two-s", "2000", "--n", "2000", "--temp", "0.1"],
+        ["efficiency", "--species", "boson", "--two-s", "2000", "--n", "2000", "--temp", "0.1"],
+    ],
+    ids=["work-f2001", "distribution-f2001", "efficiency-f2001", "phase-f2001",
+         "distribution-b2000", "efficiency-b2000"],
+)
+def test_large_spin_finite_output(argv, capsys):
+    """Counts far past the float range still give finite numbers and exit 0."""
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    payload = out if argv[0] == "phase" else json.loads(out)
+    numbers = _numbers(payload)
+    assert numbers
+    assert all(math.isfinite(x) for x in numbers)

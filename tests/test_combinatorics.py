@@ -3,13 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from spinszilard.combinatorics import (
-    LOG_PATH_THRESHOLD,
-    binomial,
-    binomial_ratio,
-    bose_state_count,
-    log_binomial,
-)
+from spinszilard.combinatorics import binomial, bose_state_count, log_binomial
 
 
 def test_binomial_edges():
@@ -51,24 +45,6 @@ def test_bose_state_count():
         bose_state_count(0, 1)
     with pytest.raises(ValueError):
         bose_state_count(2, -1)
-
-
-def test_binomial_ratio_exact_small():
-    # C(10,1)*C(10,2)/C(10,3) = 10*45/120
-    assert binomial_ratio([(10, 1), (10, 2)], [(10, 3)]) == pytest.approx(3.75, rel=1e-15)
-    assert binomial_ratio([(10, 11)], [(10, 3)]) == 0.0
-    with pytest.raises(ValueError):
-        binomial_ratio([(10, 1)], [(10, 11)])
-
-
-def test_binomial_ratio_log_path_consistency():
-    # same ratio through both paths: scale the arguments past the threshold
-    small = binomial_ratio([(200, 3), (200, 5)], [(400, 8)])
-    direct = math.comb(200, 3) * math.comb(200, 5) / math.comb(400, 8)
-    assert small == pytest.approx(direct, rel=1e-12)
-    big_a = LOG_PATH_THRESHOLD + 100
-    via_log = binomial_ratio([(big_a, 3)], [(big_a, 3)])
-    assert via_log == pytest.approx(1.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("u", range(1, 21))

@@ -12,7 +12,6 @@ from spinszilard.core import (
     WellGeometry,
     WorkDecomposition,
     level_energy,
-    reference_energy,
 )
 
 GEOM = WellGeometry(length=1e-9, mass=1e-26)
@@ -40,11 +39,11 @@ def test_level_energy_domain_errors():
 
 
 def test_reference_energy_scalings():
-    assert reference_energy(GEOM) == pytest.approx(E0, rel=1e-12)
+    assert GEOM.reference_energy == pytest.approx(E0, rel=1e-12)
     doubled_l = WellGeometry(length=2e-9, mass=1e-26)
-    assert reference_energy(doubled_l) == pytest.approx(E0 / 4, rel=1e-12)
+    assert doubled_l.reference_energy == pytest.approx(E0 / 4, rel=1e-12)
     doubled_m = WellGeometry(length=1e-9, mass=2e-26)
-    assert reference_energy(doubled_m) == pytest.approx(E0 / 2, rel=1e-12)
+    assert doubled_m.reference_energy == pytest.approx(E0 / 2, rel=1e-12)
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (7, 3), (100, 99), (1000, 1)])

@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from spinszilard import boson, fermion, information
+from spinszilard import fermion, information, phase
 from spinszilard.boson import BosonFilling
 from spinszilard.core import (
     BOLTZMANN,
@@ -13,7 +14,7 @@ from spinszilard.core import (
     ThermalPoint,
     WellGeometry,
 )
-from spinszilard.fermion import decompose
+from spinszilard.fermion import FillingCase, decompose
 
 GEOM = WellGeometry(length=1e-9, mass=1e-26)
 E0 = GEOM.reference_energy
@@ -127,7 +128,7 @@ def test_second_highest_matches_direct_boson():
 
 
 def test_extremal_report_fermion():
-    report = information.extremal_report(SpinStatistics.fermion(9), GEOM)
+    report = phase.extremal_report(SpinStatistics.fermion(9), GEOM)
     assert report.species is ParticleKind.FERMION
     assert report.zero_absorption == (0, 1, 2, 18, 19)
     assert report.max_work_configs == (1, 19)
@@ -136,9 +137,71 @@ def test_extremal_report_fermion():
 
 
 def test_extremal_report_boson():
-    report = information.extremal_report(SpinStatistics.boson(2), GEOM)
+    report = phase.extremal_report(SpinStatistics.boson(2), GEOM)
     assert report.zero_absorption == (0, 1, 2)
     assert report.max_work_configs == (2,)
     expected = (2 * 1 + 2) / (4 * 1 + 3) * math.log((4 * 1 + 3) / 2)
     assert report.max_work_per_kbt == pytest.approx(expected, rel=1e-12)
     assert report.max_work_per_kbt > math.log(2)
+
+
+def exact_fermion_distribution(N, u):
+    """f_m as Fractions: p particles (or holes) of the remainder on the left."""
+    filling = decompose(N, u)
+    kk = filling.k if filling.case is FillingCase.PARTICLE else 4 * u - filling.k
+    total = math.comb(4 * u, kk)
+    weights = {}
+    for idx in range(kk + 1):
+        if filling.case is FillingCase.PARTICLE:
+            m = 2 * u * filling.n + idx
+        else:
+            m = 2 * u * (filling.n + 1) - idx
+        weights[m] = Fraction(math.comb(2 * u, idx) * math.comb(2 * u, kk - idx), total)
+    return filling, weights
+
+
+def exact_boson_distribution(N, s):
+    total = math.comb(N + 4 * s + 1, 4 * s + 1)
+    weights = {
+        m: Fraction(math.comb(m + 2 * s, 2 * s) * math.comb(N - m + 2 * s, 2 * s), total)
+        for m in range(N + 1)
+    }
+    return BosonFilling(N=N, s=s), weights
+
+
+@pytest.mark.parametrize(
+    "filling,weights",
+    # fermion particle case (k < 2u), then hole case (k >= 2u), each with n = 0 and n > 0
+    [exact_fermion_distribution(N, u) for N, u in [(3, 5), (23, 5), (1, 1), (5, 1), (2, 2), (9, 2)]]
+    + [
+        exact_fermion_distribution(N, u)
+        for N, u in [(17, 5), (37, 5), (2, 1), (7, 1), (12, 2), (126, 3)]
+    ]
+    + [exact_boson_distribution(N, s) for N, s in [(0, 2), (1, 0), (6, 1), (11, 4), (40, 7)]],
+)
+def test_outcome_table_matches_exact_fractions(filling, weights):
+    """f_m is the correctly rounded exact ratio, in the table and the distribution."""
+    assert list(filling.support) == sorted(weights)
+    expected = [float(weights[m]) for m in filling.support]
+    rows = information.outcome_table(filling, GEOM)
+    assert [row.f for row in rows] == expected
+    assert information.measurement_distribution(filling).probabilities.tolist() == expected
+    for row, m in zip(rows, filling.support):
+        assert row.log_f == pytest.approx(math.log(weights[m]), rel=1e-14, abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "filling", [decompose(2001, 1001), BosonFilling(N=2000, s=1000)], ids=["fermion", "boson"]
+)
+def test_outcome_table_at_large_spin(filling):
+    """Counts far past the float range: normalized, mirror-symmetric, finite ln f*."""
+    t = thermal_at(0.1)
+    probs = information.measurement_distribution(filling).probabilities
+    assert abs(probs.sum() - 1.0) <= 1e-12
+    assert np.array_equal(probs, probs[::-1])
+    rows = information.outcome_table(filling, GEOM)
+    assert [row.f for row in rows] == probs.tolist()
+    log_fstar = [row.log_prefactor - t.beta * row.energy for row in rows]
+    assert all(math.isfinite(x) for x in log_fstar)
+    for m in (filling.support[0], filling.support[len(probs) // 3], filling.support[-1]):
+        assert math.isfinite(information.log_post_expansion_weight(filling, m, GEOM, t))
