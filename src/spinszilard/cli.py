@@ -15,7 +15,7 @@ import csv
 import io
 import math
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from . import boson, fermion, information, oracle, phase
 from .core import (
@@ -33,6 +33,8 @@ EXIT_UNDEFINED = 3
 EXIT_ORACLE = 4
 
 UNDEFINED = "undefined"
+#: the most values one --n-range or --temp-range may expand to
+MAX_RANGE_VALUES = 1_000_000
 
 
 class ConfigError(Exception):
@@ -85,247 +87,231 @@ def _json_dumps(obj: Any, indent: int = 0) -> str:
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _parse_int_range(text: str) -> list[int]:
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def _parse_range(text: str, cast: Callable[[str], Any]) -> list:
+    """The values A, A+STEP, ... up to B of ``A:B`` or ``A:B:STEP``, with 0 <= A <= B.
+
+    The default step is 1 for integers and B - A (two values) for floats.
+    """
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise ConfigError(f"bad range {text!r}, expected A:B or A:B:STEP")
     try:
-        lo, hi = int(parts[0]), int(parts[1])
-        step = int(parts[2]) if len(parts) == 3 else 1
+        lo, hi = cast(parts[0]), cast(parts[1])
+        default = hi - lo if cast is float and hi > lo else 1
+        step = cast(parts[2]) if len(parts) == 3 else default
     except ValueError as exc:
-        raise ConfigError(f"bad integer range {text!r}") from exc
-    if step <= 0:
-        raise ConfigError(f"range step must be positive in {text!r}")
-    values = list(range(lo, hi + 1, step))
-    if not values:
-        raise ConfigError(f"empty range {text!r}")
-    return values
-
-
-def _parse_float_range(text: str) -> list[float]:
-    parts = text.split(":")
-    if len(parts) not in (2, 3):
-        raise ConfigError(f"bad range {text!r}, expected A:B or A:B:STEP")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-        step = float(parts[2]) if len(parts) == 3 else (hi - lo) if hi > lo else 1.0
-    except ValueError as exc:
-        raise ConfigError(f"bad float range {text!r}") from exc
-    if step <= 0:
-        raise ConfigError(f"range step must be positive in {text!r}")
+        raise ConfigError(f"bad range {text!r}") from exc
+    if not (0 <= lo <= hi < math.inf and step > 0):
+        raise ConfigError(f"range {text!r} needs finite bounds 0 <= A <= B and STEP > 0")
+    too_many = ConfigError(f"range {text!r} has more than {MAX_RANGE_VALUES} values")
+    if (hi - lo) // step >= MAX_RANGE_VALUES:
+        raise too_many
+    if cast is int:
+        return list(range(lo, hi + 1, step))
     values = []
     x = lo
     while x <= hi * (1 + 1e-12) + 1e-300:
+        # a STEP below the float spacing near B leaves x in place
+        if len(values) == MAX_RANGE_VALUES:
+            raise too_many
         values.append(round(x, 12) if abs(x) < 1e6 else x)
         x += step
-    if not values:
-        raise ConfigError(f"empty range {text!r}")
     return values
-
-
-def _load_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"bad config line {line!r} in {path}")
-                key, _, value = line.partition("=")
-                values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return values
-
-
-_CONFIG_KEYS = {
-    "species": str,
-    "two_s": str,
-    "n": int,
-    "n_range": str,
-    "temp": float,
-    "temp_range": str,
-    "length": float,
-    "mass": float,
-    "insertion": float,
-    "nmax": int,
-    "tolerance": float,
-    "format": str,
-    "out": str,
-}
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:
-    """Fill unset flags from the config file; explicit flags win."""
-    if not getattr(args, "config", None):
+    """Fill unset flags from the ``key = value`` lines of --config; explicit flags win.
+
+    A key must be one of the subcommand's flags, and its value is read as that flag's.
+    """
+    if args.config is None:
         return
-    file_values = _load_config_file(args.config)
+    try:
+        with open(args.config, encoding="utf-8") as handle:
+            lines = [line.split("#", 1)[0].strip() for line in handle]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+    keys = set(_COMMANDS[args.command][1]) - {"config", "strict"}
+    file_values: dict[str, str] = {}
+    for line in filter(None, lines):
+        key, equals, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if not equals or key not in keys:
+            raise ConfigError(f"bad config line {line!r}: expected KEY = VALUE, KEY one of "
+                              f"{sorted(keys)}")
+        file_values[key] = value.strip()
     for key, raw in file_values.items():
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-        if getattr(args, key, None) is None:
-            caster = _CONFIG_KEYS[key]
+        if getattr(args, key) is None:
+            spec = _FLAGS[key]
             try:
-                setattr(args, key, caster(raw))
+                value = spec.get("type", str)(raw)
+                if value not in spec.get("choices", [value]):
+                    raise ValueError(f"not one of {spec['choices']}")
             except ValueError as exc:
                 raise ConfigError(f"bad value for config key {key!r}: {raw!r}") from exc
+            setattr(args, key, value)
 
 
-def _species(args: argparse.Namespace) -> SpinStatistics:
-    if args.species is None or args.two_s is None:
+def _spin(species: str | None, two_s: str | None) -> SpinStatistics:
+    if species is None or not two_s:
         raise ConfigError("--species and --two-s are required")
     try:
-        two_s = int(args.two_s)
+        return SpinStatistics(twice_spin=int(two_s), kind=ParticleKind(species))
     except ValueError as exc:
-        raise ConfigError(f"bad --two-s value {args.two_s!r}") from exc
-    kind = {"fermion": ParticleKind.FERMION, "boson": ParticleKind.BOSON}.get(args.species)
-    if kind is None:
-        raise ConfigError(f"unknown species {args.species!r}")
-    try:
-        return SpinStatistics(twice_spin=two_s, kind=kind)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"bad --two-s value {two_s!r} for {species}: {exc}") from exc
 
 
 def _geometry(args: argparse.Namespace) -> WellGeometry:
     length = args.length if args.length is not None else 1e-9
     mass = args.mass if args.mass is not None else 1e-26
     try:
-        return WellGeometry(length=length, mass=mass)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        geometry = WellGeometry(length=length, mass=mass)
+        # E0 = pi^2 hbar^2 / (2 M L^2): 2 M L^2 may underflow to 0 or overflow
+        if not sys.float_info.min <= geometry.reference_energy < math.inf:
+            raise ValueError("E0 is not a normal float")
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad well geometry --length {length} --mass {mass}: {exc}") from exc
+    return geometry
 
 
 def _n_values(args: argparse.Namespace) -> list[int]:
     if args.n is not None and args.n_range is not None:
         raise ConfigError("give either --n or --n-range, not both")
     if args.n is not None:
+        if args.n < 0:
+            raise ConfigError("--n must be >= 0")
         return [args.n]
     if args.n_range is not None:
-        return _parse_int_range(args.n_range)
+        return _parse_range(args.n_range, int)
     raise ConfigError("one of --n or --n-range is required")
 
 
-def _t_values(args: argparse.Namespace, required: bool = True) -> list[float]:
+def _t_values(args: argparse.Namespace) -> list[float]:
     if args.temp is not None and args.temp_range is not None:
         raise ConfigError("give either --temp or --temp-range, not both")
     if args.temp is not None:
-        if args.temp < 0:
-            raise ConfigError("--temp must be >= 0")
-        return [args.temp]
-    if args.temp_range is not None:
-        values = _parse_float_range(args.temp_range)
-        if any(t < 0 for t in values):
-            raise ConfigError("temperatures must be >= 0")
-        return values
-    if required:
+        values = [args.temp]
+    elif args.temp_range is not None:
+        values = _parse_range(args.temp_range, float)
+    else:
         raise ConfigError("one of --temp or --temp-range is required")
-    return []
+    if any(t < 0 or 0 < BOLTZMANN * t < sys.float_info.min for t in values):
+        raise ConfigError("temperatures must be >= 0, and k_B T a normal float if nonzero")
+    return values
+
+
+def _thermal(args: argparse.Namespace) -> ThermalPoint:
+    t_values = _t_values(args)
+    if len(t_values) != 1 or t_values[0] <= 0:
+        raise ConfigError(f"{args.command} requires a single --temp > 0")
+    return ThermalPoint(t_values[0])
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+def _cell(value: Any) -> str:
+    if isinstance(value, float):
+        return _fmt(value)
+    return "" if value is None else str(value)
+
+
+def _csv_text(header: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows([_cell(value) for value in row] for row in rows)
     return buffer.getvalue()
 
 
-def _check_strict(args: argparse.Namespace, cells: Sequence[str]) -> None:
-    if getattr(args, "strict", False) and any(cell == UNDEFINED for cell in cells):
+def _emit_rows(args: argparse.Namespace, rows: list[dict[str, Any]]) -> None:
+    """--strict check, then JSON for a single row or CSV for several."""
+    if args.strict and any(UNDEFINED in row.values() for row in rows):
         raise StrictUndefinedError()
-
-
-def _work_row(
-    spin: SpinStatistics, geometry: WellGeometry, N: int, T: float
-) -> dict[str, Any]:
-    e0 = geometry.reference_energy
-    filling = phase.filling(spin, N)
-    coeffs = information.work_coefficients(filling, geometry)
-    n_str, k_str = "", ""
-    if spin.kind is ParticleKind.FERMION:
-        n_str, k_str = str(filling.n), str(filling.k)
-    w_tot = coeffs.total_work(ThermalPoint(T))
-    tc = _fmt(phase.critical_temperature(coeffs)) if coeffs.slope > 0 else UNDEFINED
-    per_kbt = _fmt(w_tot / (BOLTZMANN * T)) if T > 0 else UNDEFINED
-    return {
-        "species": spin.kind.value,
-        "two_s": spin.twice_spin,
-        "N": N,
-        "n": n_str,
-        "k": k_str,
-        "D": _fmt(coeffs.slope),
-        "W0_joule": _fmt(coeffs.absorbed),
-        "W0_per_E0": _fmt(coeffs.absorbed / e0),
-        "T_kelvin": _fmt(T),
-        "Wtot_joule": _fmt(w_tot),
-        "Wtot_per_kBT": per_kbt,
-        "Tc_kelvin": tc,
-    }
+    single = len(rows) == 1
+    if (args.format or ("json" if single else "csv")) == "csv":
+        _emit(_csv_text(rows[0].keys(), [row.values() for row in rows]), args.out)
+    elif single:
+        _emit(_json_dumps(rows[0]) + "\n", args.out)
+    else:
+        raise ConfigError("json format is for single results; ranges emit csv")
 
 
 def cmd_work(args: argparse.Namespace) -> int:
-    spin = _species(args)
+    spin = _spin(args.species, args.two_s)
     geometry = _geometry(args)
     n_values = _n_values(args)
     t_values = _t_values(args)
-    rows = [_work_row(spin, geometry, N, T) for N in n_values for T in t_values]
-    for row in rows:
-        _check_strict(args, list(map(str, row.values())))
-    single = len(rows) == 1
-    fmt = args.format or ("json" if single else "csv")
-    if fmt == "json":
-        if not single:
-            raise ConfigError("json format is for single results; ranges emit csv")
-        _emit(_json_dumps(rows[0]) + "\n", args.out)
-    else:
-        header = list(rows[0].keys())
-        _emit(_csv_text(header, [[str(v) for v in row.values()] for row in rows]), args.out)
+    e0 = geometry.reference_energy
+    fermion_fill = spin.kind is ParticleKind.FERMION
+    rows = []
+    for N in n_values:
+        filling = phase.filling(spin, N)
+        coeffs = information.work_coefficients(filling, geometry)
+        tc = _fmt(phase.critical_temperature(coeffs)) if coeffs.slope > 0 else UNDEFINED
+        for T in t_values:
+            w_tot = coeffs.total_work(ThermalPoint(T))
+            rows.append({
+                "species": spin.kind.value,
+                "two_s": spin.twice_spin,
+                "N": N,
+                "n": str(filling.n) if fermion_fill else "",
+                "k": str(filling.k) if fermion_fill else "",
+                "D": _fmt(coeffs.slope),
+                "W0_joule": _fmt(coeffs.absorbed),
+                "W0_per_E0": _fmt(coeffs.absorbed / e0),
+                "T_kelvin": _fmt(T),
+                "Wtot_joule": _fmt(w_tot),
+                "Wtot_per_kBT": _fmt(w_tot / (BOLTZMANN * T)) if T > 0 else UNDEFINED,
+                "Tc_kelvin": tc,
+            })
+    _emit_rows(args, rows)
     return EXIT_OK
 
 
 def cmd_distribution(args: argparse.Namespace) -> int:
-    spin = _species(args)
+    spin = _spin(args.species, args.two_s)
     geometry = _geometry(args)
     n_values = _n_values(args)
     if len(n_values) != 1:
         raise ConfigError("distribution requires a single --n")
     N = n_values[0]
-    t_values = _t_values(args, required=False)
-    thermal = None
-    if t_values:
-        if len(t_values) != 1:
-            raise ConfigError("distribution requires a single --temp")
-        if t_values[0] <= 0:
-            raise ConfigError("post-expansion weights require --temp > 0")
-        thermal = ThermalPoint(t_values[0])
+    thermal = None if args.temp is None and args.temp_range is None else _thermal(args)
     filling = phase.filling(spin, N)
     dist = information.measurement_distribution(filling)
+    m_values = [int(m) for m in dist.support]
+    f_values = [float(p) for p in dist.probabilities]
     stars = None
     if thermal is not None:
         stars = [
-            _exp_cell(information.log_post_expansion_weight(filling, int(m), geometry, thermal))
-            for m in dist.support
+            _exp_cell(information.log_post_expansion_weight(filling, m, geometry, thermal))
+            for m in m_values
         ]
-        _check_strict(args, stars)
+        if args.strict and UNDEFINED in stars:
+            raise StrictUndefinedError()
     fmt = args.format or "json"
     if fmt == "json":
         payload: dict[str, Any] = {
             "species": spin.kind.value,
             "two_s": spin.twice_spin,
             "N": N,
-            "m": [int(m) for m in dist.support],
-            "f_m": [float(p) for p in dist.probabilities],
+            "m": m_values,
+            "f_m": f_values,
             "f_m_sum": dist.total(),
         }
         if stars is not None:
@@ -334,72 +320,48 @@ def cmd_distribution(args: argparse.Namespace) -> int:
         _emit(_json_dumps(payload) + "\n", args.out)
     else:
         header = ["m", "f_m"] + (["f_m_star"] if stars is not None else [])
-        rows = []
-        for i, m in enumerate(dist.support):
-            row = [str(int(m)), _fmt(float(dist.probabilities[i]))]
-            if stars is not None:
-                row.append(UNDEFINED if stars[i] == UNDEFINED else _fmt(stars[i]))
-            rows.append(row)
-        _emit(_csv_text(header, rows), args.out)
+        columns = [m_values, f_values] + ([stars] if stars is not None else [])
+        _emit(_csv_text(header, zip(*columns)), args.out)
     print(f"sum f_m = {_fmt(dist.total())}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_phase(args: argparse.Namespace) -> int:
     geometry = _geometry(args)
-    if args.species is None or args.two_s is None:
-        raise ConfigError("--species and --two-s are required")
-    spins = []
-    for token in str(args.two_s).split(","):
-        sub = argparse.Namespace(species=args.species, two_s=token)
-        spins.append(_species(sub))
+    spins = [_spin(args.species, token) for token in (args.two_s or "").split(",")]
     if args.n_range is None:
         raise ConfigError("phase requires --n-range")
-    n_values = _parse_int_range(args.n_range)
-    multi = len(spins) > 1
-    header = (["two_s"] if multi else []) + ["N", "T_c_kelvin", "defined"]
+    n_values = _parse_range(args.n_range, int)
+    t_values = [] if args.temp_range is None else _t_values(args)
+    if t_values and not args.out:
+        raise ConfigError("the work grid needs --out (written to OUT.grid.csv)")
+    lead = ["two_s"] if len(spins) > 1 else []
     rows = []
     for spin in spins:
         for point in phase.phase_curve(spin, geometry, n_values):
-            cell = _fmt(point.critical_temperature) if point.defined else UNDEFINED
-            row = ([str(spin.twice_spin)] if multi else []) + [
-                str(point.N),
-                cell,
-                "true" if point.defined else "false",
-            ]
-            _check_strict(args, row)
-            rows.append(row)
-    _emit(_csv_text(header, rows), args.out)
-    t_values = _t_values(args, required=False)
-    if len(t_values) > 1 or args.temp_range is not None:
-        if not args.out:
-            raise ConfigError("the work grid needs --out (written to OUT.grid.csv)")
-        grid_header = (["two_s"] if multi else []) + ["N", "T", "W_tot_joule", "sign"]
+            if args.strict and not point.defined:
+                raise StrictUndefinedError()
+            cell = point.critical_temperature if point.defined else UNDEFINED
+            rows.append([spin.twice_spin] * len(lead) + [point.N, cell, str(point.defined).lower()])
+    _emit(_csv_text(lead + ["N", "T_c_kelvin", "defined"], rows), args.out)
+    if t_values:
         grid_rows = []
         for spin in spins:
             grid = phase.work_grid(spin, geometry, n_values, t_values)
             for i, N in enumerate(grid.n_values):
                 for j, T in enumerate(grid.temperatures):
                     w = float(grid.work[i, j])
-                    sign = "0" if w == 0 else ("1" if w > 0 else "-1")
-                    grid_rows.append(
-                        ([str(spin.twice_spin)] if multi else [])
-                        + [str(int(N)), _fmt(float(T)), _fmt(w), sign]
-                    )
-        _emit(_csv_text(grid_header, grid_rows), args.out + ".grid.csv")
+                    sign = (w > 0) - (w < 0)
+                    grid_rows.append([spin.twice_spin] * len(lead) + [int(N), float(T), w, sign])
+        _emit(_csv_text(lead + ["N", "T", "W_tot_joule", "sign"], grid_rows), args.out + ".grid.csv")
     return EXIT_OK
 
 
 def cmd_efficiency(args: argparse.Namespace) -> int:
-    spin = _species(args)
+    spin = _spin(args.species, args.two_s)
     geometry = _geometry(args)
     n_values = _n_values(args)
-    t_values = _t_values(args)
-    if len(t_values) != 1:
-        raise ConfigError("efficiency requires a single --temp")
-    if t_values[0] <= 0:
-        raise ConfigError("efficiency requires --temp > 0")
-    thermal = ThermalPoint(t_values[0])
+    thermal = _thermal(args)
     rows = []
     for N in n_values:
         filling = phase.filling(spin, N)
@@ -413,12 +375,7 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
         dist = information.measurement_distribution(filling)
         w_eras = information.erasure_work(dist, thermal)
         w_net = information.net_work(filling, geometry, thermal)
-        if w_eras == 0.0:
-            eta = UNDEFINED
-        else:
-            eta = _fmt(w_tot / w_eras)
-        eta2 = _fmt(information.second_highest_efficiency(alpha)) if second else ""
-        row = {
+        rows.append({
             "species": spin.kind.value,
             "two_s": spin.twice_spin,
             "N": N,
@@ -426,42 +383,32 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
             "Wtot_joule": _fmt(w_tot),
             "Weras_joule": _fmt(w_eras),
             "Wnet_joule": _fmt(w_net),
-            "eta": eta,
-            "eta_second_highest": eta2,
-        }
-        _check_strict(args, list(map(str, row.values())))
-        rows.append(row)
-    single = len(rows) == 1
-    fmt = args.format or ("json" if single else "csv")
-    if fmt == "json":
-        if not single:
-            raise ConfigError("json format is for single results; ranges emit csv")
-        _emit(_json_dumps(rows[0]) + "\n", args.out)
-    else:
-        header = list(rows[0].keys())
-        _emit(_csv_text(header, [[str(v) for v in row.values()] for row in rows]), args.out)
+            "eta": UNDEFINED if w_eras == 0.0 else _fmt(w_tot / w_eras),
+            "eta_second_highest": _fmt(information.second_highest_efficiency(alpha)) if second else "",
+        })
+    _emit_rows(args, rows)
     return EXIT_OK
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    spin = _species(args)
+    spin = _spin(args.species, args.two_s)
     geometry = _geometry(args)
     n_values = _n_values(args)
     if len(n_values) != 1:
         raise ConfigError("oracle requires a single --n")
     N = n_values[0]
-    if N > 6:
-        raise ConfigError("oracle is restricted to N <= 6")
+    # an empty well (N = 0) has no wall equilibrium to compare
+    if not 1 <= N <= 6:
+        raise ConfigError("oracle is restricted to 1 <= N <= 6")
     if spin.degeneracy > 12:
         raise ConfigError("oracle is restricted to degeneracy 2s+1 <= 12")
-    t_values = _t_values(args)
-    if len(t_values) != 1 or t_values[0] <= 0:
-        raise ConfigError("oracle requires a single --temp > 0")
-    thermal = ThermalPoint(t_values[0])
+    thermal = _thermal(args)
     insertion_frac = args.insertion if args.insertion is not None else 0.5
     if not 0 < insertion_frac < 1:
         raise ConfigError("--insertion must lie in (0, 1)")
     n_max = args.nmax if args.nmax is not None else oracle.DEFAULT_LEVEL_CUTOFF
+    if n_max < 1:
+        raise ConfigError("--nmax must be >= 1")
     tolerance = args.tolerance if args.tolerance is not None else 1e-3
     L = geometry.length
 
@@ -517,27 +464,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if fmt == "json":
         _emit(_json_dumps(payload) + "\n", args.out)
     else:
-        header = [
-            "m",
-            "f_exact",
-            "f_analytic",
-            "delta_f",
-            "leq_exact_over_L",
-            "leq_analytic_over_L",
-        ]
-        csv_rows = []
-        for row in rows:
-            csv_rows.append(
-                [
-                    str(row["m"]),
-                    _fmt(row["f_exact"]),
-                    _fmt(row["f_analytic"]),
-                    _fmt(row["delta_f"]),
-                    _fmt(row["leq_exact_over_L"]),
-                    _fmt(row["leq_analytic_over_L"]) if row["leq_analytic_over_L"] is not None else "",
-                ]
-            )
-        _emit(_csv_text(header, csv_rows), args.out)
+        _emit(_csv_text(rows[0].keys(), [row.values() for row in rows]), args.out)
         print(
             f"W_exact = {_fmt(cycle.total_work)}  W_analytic = {_fmt(analytic_work)}  "
             f"rel_delta = {_fmt(rel_dw)}",
@@ -552,26 +479,58 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_limits(args: argparse.Namespace) -> int:
-    spin = _species(args)
+    spin = _spin(args.species, args.two_s)
     geometry = _geometry(args)
     e0 = geometry.reference_energy
+    rows = []
     if spin.kind is ParticleKind.FERMION:
         u = spin.u
         header = ["k", "D_F", "avg_W0F_limit_joule", "avg_W0F_limit_per_E0"]
-        rows = []
         for k in range(4 * u):
             coeffs = information.work_coefficients(fermion.decompose(k, u), geometry)
             limit = fermion.average_absorbed_work_limit(u, k, geometry)
-            rows.append([str(k), _fmt(coeffs.slope), _fmt(limit), _fmt(limit / e0)])
+            rows.append([k, coeffs.slope, limit, limit / e0])
     else:
-        n_values = _n_values(args)
         header = ["N", "lim_D_B", "lim_W0B_joule", "lim_W0B_per_E0"]
-        rows = []
-        for N in n_values:
+        for N in _n_values(args):
             lim = boson.large_spin_limits(N, geometry)
-            rows.append([str(N), _fmt(lim.slope), _fmt(lim.absorbed), _fmt(lim.absorbed / e0)])
+            rows.append([N, lim.slope, lim.absorbed, lim.absorbed / e0])
     _emit(_csv_text(header, rows), args.out)
     return EXIT_OK
+
+
+#: argparse keyword arguments of every flag, by dest; the flag is --dest with - for _
+_FLAGS: dict[str, dict[str, Any]] = {
+    "species": {"choices": ["fermion", "boson"]},
+    "two_s": {},
+    "n": {"type": int},
+    "n_range": {},
+    "temp": {"type": _finite},
+    "temp_range": {},
+    "length": {"type": _finite},
+    "mass": {"type": _finite},
+    "insertion": {"type": _finite},
+    "nmax": {"type": int},
+    "tolerance": {"type": _finite},
+    "format": {"choices": ["csv", "json"]},
+    "out": {},
+    "config": {},
+    "strict": {"action": "store_true"},
+}
+
+_COMMON = ("species", "two_s", "length", "mass", "out", "config")
+_POINTS = ("n", "n_range", "temp", "temp_range")
+_SWEEP = _POINTS + ("format", "strict")
+
+#: each subcommand's handler and the flags it reads; it accepts no others
+_COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], tuple[str, ...]]] = {
+    "work": (cmd_work, _COMMON + _SWEEP),
+    "distribution": (cmd_distribution, _COMMON + _SWEEP),
+    "phase": (cmd_phase, _COMMON + ("n_range", "temp_range", "strict")),
+    "efficiency": (cmd_efficiency, _COMMON + _SWEEP),
+    "oracle": (cmd_oracle, _COMMON + _POINTS + ("insertion", "nmax", "tolerance", "format")),
+    "limits": (cmd_limits, _COMMON + ("n", "n_range")),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -580,32 +539,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Arbitrary-spin quantum Szilard engine calculator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "work": cmd_work,
-        "distribution": cmd_distribution,
-        "phase": cmd_phase,
-        "efficiency": cmd_efficiency,
-        "oracle": cmd_oracle,
-        "limits": cmd_limits,
-    }
-    for name, handler in commands.items():
-        cmd = sub.add_parser(name)
-        cmd.set_defaults(handler=handler)
-        cmd.add_argument("--species", choices=["fermion", "boson"], default=None)
-        cmd.add_argument("--two-s", dest="two_s", default=None)
-        cmd.add_argument("--n", type=int, default=None)
-        cmd.add_argument("--n-range", dest="n_range", default=None)
-        cmd.add_argument("--temp", type=float, default=None)
-        cmd.add_argument("--temp-range", dest="temp_range", default=None)
-        cmd.add_argument("--length", type=float, default=None)
-        cmd.add_argument("--mass", type=float, default=None)
-        cmd.add_argument("--insertion", type=float, default=None)
-        cmd.add_argument("--nmax", type=int, default=None)
-        cmd.add_argument("--tolerance", type=float, default=None)
-        cmd.add_argument("--format", choices=["csv", "json"], default=None)
-        cmd.add_argument("--out", default=None)
-        cmd.add_argument("--config", default=None)
-        cmd.add_argument("--strict", action="store_true")
+    for name, (handler, flags) in _COMMANDS.items():
+        # without allow_abbrev=False an undeclared --n would parse as --n-range
+        cmd = sub.add_parser(name, allow_abbrev=False)
+        # every dest reads None unless given, so shared helpers see all of them
+        cmd.set_defaults(handler=handler, **dict.fromkeys(_FLAGS))
+        for dest in flags:
+            cmd.add_argument("--" + dest.replace("_", "-"), dest=dest, **_FLAGS[dest])
     return parser
 
 
@@ -621,10 +561,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except StrictUndefinedError:
         print("error: undefined quantity requested in strict mode", file=sys.stderr)
         return EXIT_UNDEFINED
-    except ToleranceExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
-    except oracle.ConvergenceError as exc:
+    except (ToleranceExceeded, oracle.ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ORACLE
 

@@ -1,7 +1,12 @@
 import json
 import math
+import pathlib
+import re
+import shlex
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from spinszilard import cli
 
@@ -11,6 +16,14 @@ LOW_T = "0.02"
 
 def run(argv):
     return cli.main(argv)
+
+
+def exit_code(argv):
+    """cli.main's return code, or the code of the SystemExit argparse raises."""
+    try:
+        return cli.main(shlex.split(argv) if isinstance(argv, str) else argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_work_single_json(capsys):
@@ -456,3 +469,189 @@ def test_large_spin_finite_output(argv, capsys):
     numbers = _numbers(payload)
     assert numbers
     assert all(math.isfinite(x) for x in numbers)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "work --species fermion --two-s 9 --n 3 --temp nan",
+        "work --species fermion --two-s 9 --n 3 --temp inf",
+        "efficiency --species fermion --two-s 1 --n 2 --temp inf",
+        "work --species fermion --two-s 9 --n -3 --temp 0.1",
+        "work --species fermion --two-s 9 --n-range=-3:2 --temp 0.1",
+        "work --species fermion --two-s 9 --n 3 --temp 0.1 --length 1e300",
+        "work --species fermion --two-s 9 --n 3 --temp 0.1 --length inf",
+        "work --species fermion --two-s 9 --n 3 --temp 0.1 --mass 1e-320",
+        "efficiency --species fermion --two-s 1 --n 2 --temp 1e-300",
+        "oracle --species fermion --two-s 1 --n 2 --temp 0.05 --nmax 0",
+        "oracle --species fermion --two-s 9 --n 3 --temp 0.02 --tolerance nan",
+        # an empty well has no wall equilibrium to compare
+        "oracle --species fermion --two-s 1 --n 0 --temp 0.01",
+        "oracle --species boson --two-s 0 --n 0 --temp 0.01",
+    ],
+)
+def test_meaningless_numbers_exit_2(argv, capsys):
+    assert exit_code(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "phase --species fermion --two-s 9 --n-range 1:3 --temp-range 0:1:1e-9 --out p.csv",
+        "phase --species fermion --two-s 9 --n-range 1:3 --temp-range 0:inf --out p.csv",
+        "work --species boson --two-s 2 --n-range 0:1000000000 --temp 0.1",
+        # a step below the float spacing at the bounds would never advance
+        "work --species boson --two-s 2 --n 3 --temp-range 1e300:1e300",
+        # phase checks its grid flags before it writes the phase table
+        "phase --species fermion --two-s 9 --n-range 3:3 --temp-range 0:0.6:0.1",
+        "phase --species fermion --two-s 9 --n-range 3:3 --temp-range 0:1:0 --out p.csv",
+    ],
+)
+def test_bad_range_exits_2_and_writes_nothing(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert exit_code(argv) == 2
+    assert capsys.readouterr().out == ""
+    assert not list(tmp_path.iterdir())
+
+
+def test_range_size_cap_boundary(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_RANGE_VALUES", 10)
+    work = "work --species boson --two-s 2 "
+    assert exit_code(work + "--n-range 1:10 --temp 0.1") == 0
+    assert exit_code(work + "--n-range 0:10 --temp 0.1") == 2
+    assert exit_code(work + "--n 3 --temp-range 0:0.9:0.1") == 0
+    assert exit_code(work + "--n 3 --temp-range 0:1:0.1") == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "phase --species fermion --two-s 9 --n-range 1:3 --temp 0.1 --out p.csv",
+        "phase --species fermion --two-s 9 --n-range 1:3 --format json --out p.csv",
+        "limits --species fermion --two-s 9 --temp 0.1",
+        "efficiency --species fermion --two-s 1 --n 2 --temp 0.1 --nmax 3",
+        # abbreviations: --n-ra would otherwise parse as --n-range
+        "work --species fermion --two-s 9 --n-ra 1:3 --temp 0.1",
+        "phase --species fermion --two-s 9 --n-range 1:3 --temp-r 0:1 --out p.csv",
+    ],
+)
+def test_undeclared_or_abbreviated_flag_exits_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert exit_code(argv) == 2
+
+
+def test_config_key_must_be_a_flag_of_the_subcommand(tmp_path, capsys):
+    config = tmp_path / "phase.conf"
+    config.write_text("temp = 0.1\n")
+    argv = ["phase", "--species", "fermion", "--two-s", "9", "--n-range", "1:3"]
+    assert run(argv + ["--out", str(tmp_path / "p.csv"), "--config", str(config)]) == 2
+    config.write_text("temp-range = 0:1\n")
+    assert run(argv + ["--out", str(tmp_path / "q.csv"), "--config", str(config)]) == 0
+    assert (tmp_path / "q.csv.grid.csv").exists()
+
+
+README = pathlib.Path(__file__).parent.parent / "README.md"
+README_INVOCATIONS = [
+    shlex.split(line)[1:]
+    for line in README.read_text(encoding="utf-8").replace("\\\n", " ").splitlines()
+    if line.startswith("szilard ")
+]
+
+
+@pytest.mark.parametrize("argv", README_INVOCATIONS, ids=" ".join)
+def test_readme_examples_run(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 0
+
+
+# Fuzzing the CLI contract: every declared flag drawn from cheap values (N <= 60,
+# 2s <= 41, ranges of <= 50 values) mixed with hostile ones, plus undeclared flags.
+# oracle is left to the cases above: high-temperature oracle runs are slow.
+CHEAP = {
+    "n": ["0", "1", "2", "3", "17", "41", "60"],
+    "n_range": ["1:50", "0:60:7", "3:3", "2:9"],
+    "temp": ["0", "0.02", "0.1", "2"],
+    "temp_range": ["0:1:0.05", "0.01:0.5:0.01", "0:2", "0.1:0.3"],
+    "length": ["1e-9", "2e-9"],
+    "mass": ["1e-26", "3e-27"],
+    "format": ["csv", "json"],
+    "out": ["out.csv"],
+    "config": ["good.conf"],
+}
+HOSTILE = {
+    "species": ["quark"],
+    "two_s": ["-3", "nan", "1e300", "", "1,x"],
+    "n": ["-3", "1e300", "nan", "inf"],
+    "n_range": ["-3:2", "5", "3:1", "1:2:0", "0:1000000000", "a:b", "1:2:3:4", "0:1e300", "0:inf"],
+    "temp": ["nan", "inf", "-3", "1e300", "1e-300", "-inf"],
+    "temp_range": ["0:1:1e-9", "0:inf", "nan:1", "1:0", "0:1:0", "1e-300:1e300",
+                   "0:1e300", "1e300:1e300", "0:1:-0.1", "x:1"],
+    "length": ["nan", "inf", "-3", "0", "1e300", "1e-300", "1e-140", "1e100"],
+    "mass": ["nan", "inf", "0", "-3", "1e300", "1e-300", "1e-320"],
+    "insertion": ["0.5"],
+    "nmax": ["40"],
+    "tolerance": ["1e-3"],
+    "format": ["xml"],
+    "out": [".", "missing-dir/out.csv"],
+    "config": ["hostile.conf", "unknown.conf", "bad.conf", "missing.conf", "."],
+}
+CONFIGS = {
+    "good.conf": "length = 2e-9  # a flag of every subcommand\n",
+    "hostile.conf": "mass = 1e-320\n",
+    "unknown.conf": "nmax = 3\n",
+    "bad.conf": "temp 0.1\n",
+}
+
+
+def _one_in(draw, n):
+    return draw(st.integers(0, n - 1)) == n // 2
+
+
+@st.composite
+def invocations(draw):
+    """argv of one subcommand: mostly cheap values, about one in eight hostile."""
+    command = draw(st.sampled_from(["work", "distribution", "phase", "efficiency", "limits"]))
+    declared = cli._COMMANDS[command][1]
+    species = draw(st.sampled_from(["fermion", "boson"]))
+    spins = draw(st.lists(st.integers(0, 20), min_size=1, max_size=3 if command == "phase" else 1))
+    cheap = dict(CHEAP, species=[species],
+                 two_s=[",".join(str(2 * k + (species == "fermion")) for k in spins)])
+    dests = ["species", "two_s"]
+    # mostly one flag of each pair, so that many runs get past the conflict check
+    for pair in (("n", "n_range"), ("temp", "temp_range")):
+        pair = [dest for dest in pair if dest in declared]
+        if pair:
+            first = draw(st.sampled_from(pair))
+            dests += [d for d in pair if (d == first and not _one_in(draw, 4)) or _one_in(draw, 8)]
+    dests += [d for d in ("length", "mass", "format", "out", "strict")
+              if d in declared and draw(st.booleans())]
+    if _one_in(draw, 8):
+        dests.append("config")
+    if _one_in(draw, 8):
+        dests.append(draw(st.sampled_from(sorted(set(cli._FLAGS) - set(declared)))))
+    argv = [command]
+    for dest in dests:
+        argv.append("--" + dest.replace("_", "-"))
+        if dest != "strict":
+            hostile = _one_in(draw, 8) or dest not in cheap
+            argv.append(draw(st.sampled_from((HOSTILE if hostile else cheap)[dest])))
+    return argv
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=invocations())
+def test_cli_fuzz_exit_contract(argv, tmp_path, monkeypatch, capsys):
+    # a fresh directory per example, so no example reads another one's output files
+    workdir = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
+    monkeypatch.chdir(workdir)
+    for name, text in CONFIGS.items():
+        (workdir / name).write_text(text)
+    capsys.readouterr()
+    code = exit_code(argv)
+    assert code in (0, 2, 3)
+    written = [capsys.readouterr().out] + [
+        path.read_text() for path in workdir.iterdir() if path.name.startswith("out.csv")
+    ]
+    assert not any(re.search(r"\b(nan|inf)\b", text) for text in written)
