@@ -27,7 +27,7 @@ for label, spin, N, filling, module in [
     ("fermion u=5, N=3", SpinStatistics.fermion(9), 3, decompose(3, 5), fermion),
     ("boson   s=1, N=2", SpinStatistics.boson(2), 2, BosonFilling(N=2, s=1), boson),
 ]:
-    exact = oracle.exact_total_work(N, spin, geometry, thermal)
+    exact = oracle.ensemble_cycle(N, spin, geometry, thermal).total_work
     closed = module.total_work(filling, geometry, thermal)
     rel = abs(exact - closed) / abs(closed)
     print(f"  {label}:  W_exact = {exact:.6e} J   rel dev from closed form {rel:.1e}")

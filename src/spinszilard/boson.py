@@ -16,7 +16,6 @@ from .information import (  # noqa: F401  (re-exported species-agnostic path)
     Outcome,
     log_post_expansion_weight,
     measurement_distribution,
-    post_expansion_weight,
     relative_entropy_work,
     total_work,
     work_coefficients,
@@ -70,6 +69,6 @@ def large_spin_limits(N: int, geometry: WellGeometry) -> WorkDecomposition:
     absorbed = 0.0
     for m in range(1, upper + 1):
         wall = wall_position(boson_eq_ratio(m, N), geometry)
-        absorbed += m * math.comb(N, m) * level_split(1, wall, geometry).delta_e
+        absorbed += m * math.comb(N, m) * level_split(1, wall, geometry)
     absorbed /= 2.0 ** (N - 1)
     return WorkDecomposition(slope=slope, absorbed=absorbed)

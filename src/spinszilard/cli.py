@@ -409,6 +409,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     n_max = args.nmax if args.nmax is not None else oracle.DEFAULT_LEVEL_CUTOFF
     if n_max < 1:
         raise ConfigError("--nmax must be >= 1")
+    if n_max > oracle.MAX_LEVEL_CUTOFF // 2:
+        raise ConfigError(
+            f"--nmax must be <= {oracle.MAX_LEVEL_CUTOFF // 2}: ln Z stability is checked by "
+            f"doubling the level cutoff, which may reach at most {oracle.MAX_LEVEL_CUTOFF}"
+        )
     tolerance = args.tolerance if args.tolerance is not None else 1e-3
     L = geometry.length
 

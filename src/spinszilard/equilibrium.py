@@ -30,14 +30,6 @@ class WallPosition:
         return self.ratio == 0.0 or math.isinf(self.ratio)
 
 
-@dataclass(frozen=True)
-class LevelSplit:
-    """|E_level(l_eq) - E_level(L - l_eq)| for one well level."""
-
-    level: int
-    delta_e: float
-
-
 def fermion_eq_ratio(u: int, n: int, k: int, p: int) -> float:
     """Equilibrium ratio for p of k partially-filling fermions on the left.
 
@@ -76,7 +68,7 @@ def wall_position(ratio: float, geometry: WellGeometry) -> WallPosition:
     return WallPosition(ratio=ratio, position=geometry.length * ratio / (1.0 + ratio))
 
 
-def level_split(level: int, wall: WallPosition, geometry: WellGeometry) -> LevelSplit:
+def level_split(level: int, wall: WallPosition, geometry: WellGeometry) -> float:
     """Exact |E_level(l_eq) - E_level(L - l_eq)| for an interior wall."""
     if wall.at_boundary:
         raise WallAtBoundaryError(
@@ -85,8 +77,7 @@ def level_split(level: int, wall: WallPosition, geometry: WellGeometry) -> Level
         )
     left = wall.position
     right = geometry.length - wall.position
-    delta = abs(level_energy(level, left, geometry) - level_energy(level, right, geometry))
-    return LevelSplit(level=level, delta_e=delta)
+    return abs(level_energy(level, left, geometry) - level_energy(level, right, geometry))
 
 
 def level_split_large_n(u: int, n: int, k: int, p: int, geometry: WellGeometry) -> float:

@@ -19,7 +19,6 @@ from .information import (  # noqa: F401  (re-exported species-agnostic path)
     Outcome,
     log_post_expansion_weight,
     measurement_distribution,
-    post_expansion_weight,
     relative_entropy_work,
     total_work,
     work_coefficients,

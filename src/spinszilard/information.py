@@ -77,7 +77,7 @@ def _prefactor_energy(
     if central or not mu:
         return log_prefactor, 0.0
     wall = wall_position(out.ratio, geometry)
-    return log_prefactor, mu * level_split(out.level, wall, geometry).delta_e
+    return log_prefactor, mu * level_split(out.level, wall, geometry)
 
 
 def _log_fstar(log_prefactor: float, energy: float, beta: float) -> float:
@@ -131,13 +131,6 @@ def log_post_expansion_weight(
     log_norm = math.log(filling.total_ways if central else filling.edge_ways)
     lw_c = _prefactor_energy(filling.outcome(m), min(left, right), central, log_norm, geometry)
     return _log_fstar(*lw_c, beta)
-
-
-def post_expansion_weight(
-    filling: Filling, m: int, geometry: WellGeometry, thermal: ThermalPoint
-) -> float:
-    """Relative weight f_m* of the m-outcome with the wall at its equilibrium position."""
-    return math.exp(log_post_expansion_weight(filling, m, geometry, thermal))
 
 
 def work_coefficients(filling: Filling, geometry: WellGeometry) -> WorkDecomposition:

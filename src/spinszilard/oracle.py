@@ -2,12 +2,15 @@
 
 Independent of every closed form in this package: partition functions are
 built by dynamic programming over well levels with degenerate occupancies,
-equilibrium wall positions by direct free-energy maximization. Used to
-validate the low-temperature analytics.
+equilibrium wall positions by direct free-energy maximization. One DP pass per
+box gives ln Z for every particle count and every doubled level cutoff. Used
+to validate the low-temperature analytics.
 """
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +32,8 @@ DEFAULT_LEVEL_CUTOFF = 64
 MAX_LEVEL_CUTOFF = 1024
 #: Convergence tolerance on ln Z under cutoff doubling.
 LN_Z_TOLERANCE = 1e-9
+#: Width, as a fraction of L, at which the golden-section wall search stops.
+POSITION_TOLERANCE = 1e-10
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -58,16 +63,16 @@ class BoxSpectrum:
             raise ValueError(f"degeneracy must be >= 1, got {self.degeneracy}")
 
 
-def box_partition(count: int, spectrum: BoxSpectrum, thermal: ThermalPoint) -> float:
-    """ln Z of ``count`` identical particles in one box, levels up to the cutoff.
+def _ln_z_by_level(count: int, spectrum: BoxSpectrum, thermal: ThermalPoint) -> Iterator[np.ndarray]:
+    """ln Z for 0..count identical particles in one box after each of levels 1..cutoff.
 
     Log-domain DP over levels; per-level occupancy a carries weight C(g,a)
     (fermions) or C(g+a-1,a) (bosons) and Boltzmann factor exp(-beta a E).
+    Stops after the first level that changes nothing: every later level adds
+    less, so it changes nothing either.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if count == 0:
-        return 0.0
     beta = thermal.beta
     g = spectrum.degeneracy
     if spectrum.kind is ParticleKind.FERMION:
@@ -84,51 +89,71 @@ def box_partition(count: int, spectrum: BoxSpectrum, thermal: ThermalPoint) -> f
         for a in range(occ_max + 1):
             candidates[a, a:] = log_z[: count + 1 - a] + occ_log_weight[a] - beta * a * energy
         updated = np.logaddexp.reduce(candidates, axis=0)
+        yield updated
         if np.array_equal(updated, log_z) and log_z[count] > -np.inf:
-            break
+            return
         log_z = updated
-    return float(log_z[count])
+
+
+def box_partition(count: int, spectrum: BoxSpectrum, thermal: ThermalPoint) -> np.ndarray:
+    """ln Z for 0..count identical particles in one box, levels up to the cutoff."""
+    for log_z in _ln_z_by_level(count, spectrum, thermal):
+        pass
+    return log_z
 
 
 def _stable_box_ln_z(
-    count: int,
-    width: float,
-    spin: SpinStatistics,
-    geometry: WellGeometry,
-    thermal: ThermalPoint,
-    n_max: int,
-) -> tuple[float, int, float]:
-    """ln Z with cutoff doubling until stable; returns (ln Z, cutoff, delta).
+    count: int, width: float,
+    spin: SpinStatistics, geometry: WellGeometry, thermal: ThermalPoint, n_max: int,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """ln Z for 0..count under cutoff doubling, all from one DP pass.
 
-    Starting cutoffs at or above the default get headroom up to
-    MAX_LEVEL_CUTOFF; smaller ones are treated as deliberate caps and are
-    allowed a single doubling only.
+    The pass is read at cutoffs n_max, 2 n_max, ...; each entry is taken at
+    the first cutoff where it moved by less than LN_Z_TOLERANCE. Returns
+    (ln Z, delta, cutoff): each entry's last change (inf before any doubling)
+    and the last cutoff read. Starting cutoffs at or above the default get
+    headroom up to MAX_LEVEL_CUTOFF; smaller ones are treated as deliberate
+    caps and are allowed a single doubling only.
     """
-    if count == 0:
-        return 0.0, n_max, 0.0
     ceiling = MAX_LEVEL_CUTOFF if n_max >= DEFAULT_LEVEL_CUTOFF else 2 * n_max
-
-    def evaluate(cutoff: int) -> float:
-        spectrum = BoxSpectrum(
-            width=width,
-            level_cutoff=cutoff,
-            degeneracy=spin.degeneracy,
-            kind=spin.kind,
-            geometry=geometry,
-        )
-        return box_partition(count, spectrum, thermal)
-
+    spectrum = BoxSpectrum(width, ceiling, spin.degeneracy, spin.kind, geometry)
+    levels = _ln_z_by_level(count, spectrum, thermal)
+    for ln_z in itertools.islice(levels, n_max):
+        pass
+    value = ln_z
+    delta = np.full(count + 1, np.inf)
+    delta[0] = 0.0  # an empty box has ln Z = 0 at every cutoff
     cutoff = n_max
-    previous = evaluate(cutoff)
-    delta = math.inf
-    while 2 * cutoff <= ceiling:
+    while 2 * cutoff <= ceiling and not (delta < LN_Z_TOLERANCE).all():
+        previous = ln_z
+        for ln_z in itertools.islice(levels, cutoff):
+            pass
         cutoff *= 2
-        current = evaluate(cutoff)
-        delta = abs(current - previous)
-        if delta < LN_Z_TOLERANCE:
-            return current, cutoff, delta
-        previous = current
-    raise ConvergenceError(f"ln Z not stable at level cutoff {cutoff}", delta)
+        moving = ~(delta < LN_Z_TOLERANCE)
+        delta = np.where(moving, np.abs(ln_z - previous), delta)
+        value = np.where(moving, ln_z, value)
+    return value, delta, cutoff
+
+
+def _split_ln_z(
+    lo: int, hi: int, N: int, wall_pos: float,
+    spin: SpinStatistics, geometry: WellGeometry, thermal: ThermalPoint, n_max: int,
+) -> np.ndarray:
+    """ln Z_m = ln Z_left(m) + ln Z_right(N - m) for m = lo..hi, one DP pass per box."""
+    if not 0 < wall_pos < geometry.length:
+        raise ValueError("wall_pos must lie strictly inside the well")
+    left, left_delta, left_cutoff = _stable_box_ln_z(hi, wall_pos, spin, geometry, thermal, n_max)
+    right, right_delta, right_cutoff = _stable_box_ln_z(
+        N - lo, geometry.length - wall_pos, spin, geometry, thermal, n_max
+    )
+    # the first unstable entry in single-m order: m ascending, left box first
+    deltas = np.column_stack((left_delta[lo:], right_delta[N - hi :][::-1])).ravel()
+    failed = np.flatnonzero(~(deltas < LN_Z_TOLERANCE))
+    if failed.size:
+        # an unstable box read every cutoff; the other may have stopped early
+        cutoff = max(left_cutoff, right_cutoff)
+        raise ConvergenceError(f"ln Z not stable at level cutoff {cutoff}", float(deltas[failed[0]]))
+    return left[lo:] + right[N - hi :][::-1]
 
 
 def split_partition(
@@ -140,16 +165,10 @@ def split_partition(
     thermal: ThermalPoint,
     n_max: int = DEFAULT_LEVEL_CUTOFF,
 ) -> float:
-    """ln Z_m with the wall at ``wall_pos``: independent left and right boxes."""
+    """ln Z_m with the wall at ``wall_pos``: m particles in the left box, N - m in the right."""
     if not 0 <= m <= N:
         raise ValueError(f"require 0 <= m <= N, got m={m}, N={N}")
-    if not 0 < wall_pos < geometry.length:
-        raise ValueError("wall_pos must lie strictly inside the well")
-    left, _, _ = _stable_box_ln_z(m, wall_pos, spin, geometry, thermal, n_max)
-    right, _, _ = _stable_box_ln_z(
-        N - m, geometry.length - wall_pos, spin, geometry, thermal, n_max
-    )
-    return left + right
+    return float(_split_ln_z(m, m, N, wall_pos, spin, geometry, thermal, n_max)[0])
 
 
 def exact_distribution(
@@ -161,13 +180,11 @@ def exact_distribution(
     n_max: int = DEFAULT_LEVEL_CUTOFF,
 ) -> MeasurementDistribution:
     """Exact finite-temperature f_m = Z_m / sum_n Z_n at the given wall position."""
-    log_zm = np.array(
-        [split_partition(m, N, wall_pos, spin, geometry, thermal, n_max) for m in range(N + 1)]
+    log_zm = _split_ln_z(0, N, N, wall_pos, spin, geometry, thermal, n_max)
+    weights = np.exp(log_zm - np.max(log_zm))
+    return MeasurementDistribution(
+        support=np.arange(N + 1, dtype=np.int64), probabilities=weights / np.sum(weights)
     )
-    shifted = log_zm - np.max(log_zm)
-    weights = np.exp(shifted)
-    probs = weights / np.sum(weights)
-    return MeasurementDistribution(support=np.arange(N + 1, dtype=np.int64), probabilities=probs)
 
 
 def exact_equilibrium(
@@ -177,7 +194,6 @@ def exact_equilibrium(
     geometry: WellGeometry,
     thermal: ThermalPoint,
     n_max: int = DEFAULT_LEVEL_CUTOFF,
-    position_tolerance: float = 1e-10,
 ) -> WallPosition:
     """Wall position maximizing ln Z_m: coarse scan then golden-section refinement."""
     if not 0 <= m <= N:
@@ -202,7 +218,7 @@ def exact_equilibrium(
     x1 = b - _INV_PHI * (b - a)
     x2 = a + _INV_PHI * (b - a)
     f1, f2 = objective(x1), objective(x2)
-    while b - a > position_tolerance * L:
+    while b - a > POSITION_TOLERANCE * L:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INV_PHI * (b - a)
@@ -251,12 +267,7 @@ def ensemble_cycle(
             # every particle sits in one box: Z_m is the only surviving term
             fstar[m] = 1.0
         else:
-            log_zn = np.array(
-                [
-                    split_partition(n, N, wall.position, spin, geometry, thermal, n_max)
-                    for n in range(N + 1)
-                ]
-            )
+            log_zn = _split_ln_z(0, N, N, wall.position, spin, geometry, thermal, n_max)
             shifted = log_zn - np.max(log_zn)
             fstar[m] = math.exp(shifted[m]) / float(np.sum(np.exp(shifted)))
     acc = 0.0
@@ -273,15 +284,3 @@ def ensemble_cycle(
         post_expansion=fstar,
         total_work=work,
     )
-
-
-def exact_total_work(
-    N: int,
-    spin: SpinStatistics,
-    geometry: WellGeometry,
-    thermal: ThermalPoint,
-    insertion: float | None = None,
-    n_max: int = DEFAULT_LEVEL_CUTOFF,
-) -> float:
-    """Exact total cycle work -k_B T sum f_m ln(f_m / f_m*)."""
-    return ensemble_cycle(N, spin, geometry, thermal, insertion, n_max).total_work

@@ -376,6 +376,13 @@ def test_oracle_cap_nonconvergence(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("nmax,code", [("512", 0), ("513", 2)])
+def test_oracle_nmax_bound(nmax, code, capsys):
+    # 512 is the largest cutoff whose doubling fits under MAX_LEVEL_CUTOFF = 1024;
+    # above it ln Z stability could never be checked
+    assert exit_code(f"oracle --species fermion --two-s 1 --n 2 --temp 0.05 --nmax {nmax}") == code
+
+
 def test_oracle_size_guards(capsys):
     assert (
         run(["oracle", "--species", "fermion", "--two-s", "1", "--n", "7", "--temp", "1"])

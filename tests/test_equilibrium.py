@@ -83,23 +83,19 @@ def test_wall_boundary_flag_and_split_error():
 def test_level_split_values():
     # frozen: level-1 splitting at the r^3 = 1/2 equilibrium position
     wall = wall_position(0.5 ** (1 / 3), GEOM)
-    assert level_split(1, wall, GEOM).delta_e == pytest.approx(
-        1.0371860388828955e-23, rel=1e-12
-    )
+    assert level_split(1, wall, GEOM) == pytest.approx(1.0371860388828955e-23, rel=1e-12)
     # symmetric wall: zero splitting
-    assert level_split(1, wall_position(1.0, GEOM), GEOM).delta_e == 0.0
+    assert level_split(1, wall_position(1.0, GEOM), GEOM) == 0.0
     # level scaling: delta_e grows as level^2
-    d1 = level_split(1, wall, GEOM).delta_e
-    d3 = level_split(3, wall, GEOM).delta_e
+    d1 = level_split(1, wall, GEOM)
+    d3 = level_split(3, wall, GEOM)
     assert d3 == pytest.approx(9 * d1, rel=1e-12)
 
 
 def test_level_split_reflection():
     wall_a = wall_position(2.0, GEOM)
     wall_b = wall_position(0.5, GEOM)
-    assert level_split(2, wall_a, GEOM).delta_e == pytest.approx(
-        level_split(2, wall_b, GEOM).delta_e, rel=1e-12
-    )
+    assert level_split(2, wall_a, GEOM) == pytest.approx(level_split(2, wall_b, GEOM), rel=1e-12)
 
 
 @pytest.mark.parametrize("n,bound", [(10, 0.15), (100, 0.02)])
@@ -110,7 +106,7 @@ def test_large_n_split_agreement(n, bound):
             if 2 * p == k:
                 continue
             ratio = fermion_eq_ratio(u, n, k, p)
-            exact = level_split(n + 1, wall_position(ratio, GEOM), GEOM).delta_e
+            exact = level_split(n + 1, wall_position(ratio, GEOM), GEOM)
             approx = level_split_large_n(u, n, k, p, GEOM)
             assert abs(exact - approx) / exact < bound
 

@@ -62,8 +62,8 @@ def test_distribution_spot_values():
 def test_post_expansion_boundary_outcomes_are_unity():
     filling = decompose(3, 5)
     t = thermal_at(0.1)
-    assert fermion.post_expansion_weight(filling, 0, GEOM, t) == pytest.approx(1.0)
-    assert fermion.post_expansion_weight(filling, 3, GEOM, t) == pytest.approx(1.0)
+    assert math.exp(fermion.log_post_expansion_weight(filling, 0, GEOM, t)) == pytest.approx(1.0)
+    assert math.exp(fermion.log_post_expansion_weight(filling, 3, GEOM, t)) == pytest.approx(1.0)
 
 
 def test_post_expansion_known_value():
@@ -71,14 +71,14 @@ def test_post_expansion_known_value():
     filling = decompose(3, 5)
     delta_e = 1.0371860388828955e-23
     t = ThermalPoint(delta_e / BOLTZMANN)
-    value = fermion.post_expansion_weight(filling, 1, GEOM, t)
+    value = math.exp(fermion.log_post_expansion_weight(filling, 1, GEOM, t))
     assert value == pytest.approx(3.75 * math.exp(-1.0), rel=1e-9)
 
 
 def test_post_expansion_central_branch_is_temperature_free():
     filling = decompose(2, 1)  # k=2, central outcome m=1
-    a = fermion.post_expansion_weight(filling, 1, GEOM, thermal_at(0.01))
-    b = fermion.post_expansion_weight(filling, 1, GEOM, thermal_at(1.0))
+    a = math.exp(fermion.log_post_expansion_weight(filling, 1, GEOM, thermal_at(0.01)))
+    b = math.exp(fermion.log_post_expansion_weight(filling, 1, GEOM, thermal_at(1.0)))
     assert a == b == pytest.approx(4 / 6, rel=1e-14)
 
 
@@ -91,7 +91,7 @@ def test_log_post_expansion_survives_deep_low_temperature():
 
 def test_post_expansion_rejects_off_support():
     with pytest.raises(ValueError):
-        fermion.post_expansion_weight(decompose(3, 1), 0, GEOM, thermal_at(0.1))
+        math.exp(fermion.log_post_expansion_weight(decompose(3, 1), 0, GEOM, thermal_at(0.1)))
 
 
 def test_work_coefficients_spot_u5_n3():

@@ -51,7 +51,7 @@ def test_box_partition_matches_enumeration(kind, count, degeneracy):
     spectrum = oracle.BoxSpectrum(
         width=0.5 * L, level_cutoff=cutoff, degeneracy=degeneracy, kind=kind, geometry=GEOM
     )
-    dp = oracle.box_partition(count, spectrum, thermal)
+    dp = oracle.box_partition(count, spectrum, thermal)[count]
     direct = brute_force_ln_z(count, 0.5 * L, degeneracy, kind, thermal, cutoff)
     assert dp == pytest.approx(direct, rel=1e-12)
 
@@ -60,9 +60,42 @@ def test_box_partition_empty_box():
     spectrum = oracle.BoxSpectrum(
         width=0.5 * L, level_cutoff=8, degeneracy=2, kind=ParticleKind.FERMION, geometry=GEOM
     )
-    assert oracle.box_partition(0, spectrum, thermal_at(1.0)) == 0.0
+    assert oracle.box_partition(0, spectrum, thermal_at(1.0)).tolist() == [0.0]
     with pytest.raises(ValueError):
         oracle.box_partition(-1, spectrum, thermal_at(1.0))
+
+
+@pytest.mark.parametrize("kind", [ParticleKind.FERMION, ParticleKind.BOSON])
+@pytest.mark.parametrize("degeneracy", [1, 2, 3, 4])
+def test_box_partition_one_pass_serves_every_count(kind, degeneracy):
+    """Entry k of the pass for N particles is bitwise the pass for k particles."""
+    N = 6
+    for kbt, cutoff in [(0.1, 64), (1.0, 12), (5.0, 64)]:
+        spectrum = oracle.BoxSpectrum(
+            width=0.4 * L, level_cutoff=cutoff, degeneracy=degeneracy, kind=kind, geometry=GEOM
+        )
+        thermal = thermal_at(kbt)
+        whole = oracle.box_partition(N, spectrum, thermal)
+        assert len(whole) == N + 1
+        for k in range(N + 1):
+            assert whole[k] == oracle.box_partition(k, spectrum, thermal)[k]
+
+
+def test_split_partition_after_one_doubling():
+    """A cap of 6 levels converges at 12: the pass continued equals a fresh 12-level DP."""
+    spin = SpinStatistics.fermion(1)
+    thermal = thermal_at(5.0)
+    value = oracle.split_partition(1, 3, 0.5 * L, spin, GEOM, thermal, n_max=6)
+
+    def fresh(count, cutoff):
+        spectrum = oracle.BoxSpectrum(0.5 * L, cutoff, spin.degeneracy, spin.kind, GEOM)
+        return oracle.box_partition(count, spectrum, thermal)[count]
+
+    # the doubling moved ln Z, by less than the tolerance
+    assert 0 < abs(fresh(1, 12) - fresh(1, 6)) < oracle.LN_Z_TOLERANCE
+    assert value == fresh(1, 12) + fresh(2, 12)
+    # recorded when each cutoff re-ran the DP from level 1 (x86-64, numpy 2.4)
+    assert value == float.fromhex("-0x1.4c2e2eac97d79p+0")
 
 
 def test_spectrum_validation():
@@ -133,7 +166,7 @@ def test_ensemble_cycle_matches_closed_form_work():
         (SpinStatistics.fermion(9), 3, decompose(3, 5), fermion),
         (SpinStatistics.boson(2), 2, BosonFilling(N=2, s=1), boson),
     ]:
-        exact = oracle.exact_total_work(N, spin, GEOM, thermal)
+        exact = oracle.ensemble_cycle(N, spin, GEOM, thermal).total_work
         closed = module.total_work(filling, GEOM, thermal)
         assert exact == pytest.approx(closed, rel=1e-6)
 
@@ -144,6 +177,12 @@ def test_convergence_error_with_deliberate_cap():
     with pytest.raises(oracle.ConvergenceError) as err:
         oracle.split_partition(1, 1, 0.5 * L, spin, GEOM, thermal_at(50.0), n_max=2)
     assert err.value.achieved_delta > oracle.LN_Z_TOLERANCE
+
+
+def test_convergence_error_names_the_last_cutoff():
+    # the narrow left box stabilizes early; the wide right box runs up to the ceiling
+    with pytest.raises(oracle.ConvergenceError, match="level cutoff 1024 "):
+        oracle.exact_distribution(1, 0.1 * L, SpinStatistics.fermion(1), GEOM, thermal_at(3e4))
 
 
 def test_split_partition_validation():
