@@ -64,11 +64,11 @@ def large_spin_limits(N: int, geometry: WellGeometry) -> WorkDecomposition:
         slope = N * math.log(2.0)
         upper = (N - 1) // 2
     else:
-        slope = (1.0 - math.comb(N, N // 2) / 2.0**N) * N * math.log(2.0)
+        slope = (1.0 - math.comb(N, N // 2) / 2**N) * N * math.log(2.0)
         upper = N // 2 - 1
     absorbed = 0.0
     for m in range(1, upper + 1):
         wall = wall_position(boson_eq_ratio(m, N), geometry)
-        absorbed += m * math.comb(N, m) * level_split(1, wall, geometry)
-    absorbed /= 2.0 ** (N - 1)
+        # exact integer division: m C(N, m) and 2^N overflow a float from N = 1021
+        absorbed += m * math.comb(N, m) / 2 ** (N - 1) * level_split(1, wall, geometry)
     return WorkDecomposition(slope=slope, absorbed=absorbed)

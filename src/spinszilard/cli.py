@@ -406,20 +406,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     insertion_frac = args.insertion if args.insertion is not None else 0.5
     if not 0 < insertion_frac < 1:
         raise ConfigError("--insertion must lie in (0, 1)")
-    n_max = args.nmax if args.nmax is not None else oracle.DEFAULT_LEVEL_CUTOFF
-    if n_max < 1:
-        raise ConfigError("--nmax must be >= 1")
-    if n_max > oracle.MAX_LEVEL_CUTOFF // 2:
-        raise ConfigError(
-            f"--nmax must be <= {oracle.MAX_LEVEL_CUTOFF // 2}: ln Z stability is checked by "
-            f"doubling the level cutoff, which may reach at most {oracle.MAX_LEVEL_CUTOFF}"
-        )
     tolerance = args.tolerance if args.tolerance is not None else 1e-3
     L = geometry.length
 
-    cycle = oracle.ensemble_cycle(
-        N, spin, geometry, thermal, insertion=insertion_frac * L, n_max=n_max
-    )
+    cycle = oracle.ensemble_cycle(N, spin, geometry, thermal, insertion=insertion_frac * L)
     filling = phase.filling(spin, N)
     analytic_dist = information.measurement_distribution(filling)
     analytic_work = information.total_work(filling, geometry, thermal)
@@ -456,7 +446,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "N": N,
         "T_kelvin": thermal.temperature,
         "insertion_over_L": insertion_frac,
-        "level_cutoff": n_max,
         "tolerance": tolerance,
         "rows": rows,
         "W_exact_joule": cycle.total_work,
@@ -515,7 +504,6 @@ _FLAGS: dict[str, dict[str, Any]] = {
     "length": {"type": _finite},
     "mass": {"type": _finite},
     "insertion": {"type": _finite},
-    "nmax": {"type": int},
     "tolerance": {"type": _finite},
     "format": {"choices": ["csv", "json"]},
     "out": {},
@@ -533,7 +521,7 @@ _COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], tuple[str, ...]]
     "distribution": (cmd_distribution, _COMMON + _SWEEP),
     "phase": (cmd_phase, _COMMON + ("n_range", "temp_range", "strict")),
     "efficiency": (cmd_efficiency, _COMMON + _SWEEP),
-    "oracle": (cmd_oracle, _COMMON + _POINTS + ("insertion", "nmax", "tolerance", "format")),
+    "oracle": (cmd_oracle, _COMMON + _POINTS + ("insertion", "tolerance", "format")),
     "limits": (cmd_limits, _COMMON + ("n", "n_range")),
 }
 

@@ -2,15 +2,13 @@
 
 Independent of every closed form in this package: partition functions are
 built by dynamic programming over well levels with degenerate occupancies,
-equilibrium wall positions by direct free-energy maximization. One DP pass per
-box gives ln Z for every particle count and every doubled level cutoff. Used
-to validate the low-temperature analytics.
+equilibrium wall positions by direct free-energy maximization. Each box's DP
+runs until a level changes nothing, and its one pass gives ln Z for every
+particle count. Used to validate the low-temperature analytics.
 """
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,11 +25,8 @@ from .core import (
 )
 from .equilibrium import WallPosition
 
-#: Default level cutoff and the hard ceiling reached by automatic doubling.
-DEFAULT_LEVEL_CUTOFF = 64
+#: The most levels a box DP may add before ln Z must have stopped changing.
 MAX_LEVEL_CUTOFF = 1024
-#: Convergence tolerance on ln Z under cutoff doubling.
-LN_Z_TOLERANCE = 1e-9
 #: Width, as a fraction of L, at which the golden-section wall search stops.
 POSITION_TOLERANCE = 1e-10
 
@@ -39,7 +34,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class ConvergenceError(RuntimeError):
-    """Level-cutoff doubling hit the ceiling without stabilizing ln Z."""
+    """A box DP added MAX_LEVEL_CUTOFF levels and ln Z was still changing."""
 
     def __init__(self, message: str, achieved_delta: float):
         super().__init__(f"{message} (achieved delta {achieved_delta:.3e})")
@@ -48,28 +43,27 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class BoxSpectrum:
-    """Truncated single-box spectrum: levels 1..level_cutoff, g-fold degenerate."""
+    """Single-box spectrum: levels 1, 2, ... of one width, each g-fold degenerate."""
 
     width: float
-    level_cutoff: int
     degeneracy: int
     kind: ParticleKind
     geometry: WellGeometry
 
     def __post_init__(self) -> None:
-        if self.level_cutoff < 1:
-            raise ValueError(f"level_cutoff must be >= 1, got {self.level_cutoff}")
         if self.degeneracy < 1:
             raise ValueError(f"degeneracy must be >= 1, got {self.degeneracy}")
 
 
-def _ln_z_by_level(count: int, spectrum: BoxSpectrum, thermal: ThermalPoint) -> Iterator[np.ndarray]:
-    """ln Z for 0..count identical particles in one box after each of levels 1..cutoff.
+def box_partition(count: int, spectrum: BoxSpectrum, thermal: ThermalPoint) -> np.ndarray:
+    """ln Z for 0..count identical particles in one box.
 
     Log-domain DP over levels; per-level occupancy a carries weight C(g,a)
     (fermions) or C(g+a-1,a) (bosons) and Boltzmann factor exp(-beta a E).
-    Stops after the first level that changes nothing: every later level adds
-    less, so it changes nothing either.
+    Returns after the first level that changes nothing: levels rise in energy,
+    so every later level adds less and changes nothing either. Raises
+    ConvergenceError, with the largest change of the last level, if
+    MAX_LEVEL_CUTOFF levels pass first.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
@@ -83,76 +77,32 @@ def _ln_z_by_level(count: int, spectrum: BoxSpectrum, thermal: ThermalPoint) -> 
         occ_log_weight = [math.log(bose_state_count(g, a)) for a in range(occ_max + 1)]
     log_z = np.full(count + 1, -np.inf)
     log_z[0] = 0.0
-    for level in range(1, spectrum.level_cutoff + 1):
+    for level in range(1, MAX_LEVEL_CUTOFF + 1):
         energy = level_energy(level, spectrum.width, spectrum.geometry)
         candidates = np.full((occ_max + 1, count + 1), -np.inf)
         for a in range(occ_max + 1):
             candidates[a, a:] = log_z[: count + 1 - a] + occ_log_weight[a] - beta * a * energy
         updated = np.logaddexp.reduce(candidates, axis=0)
-        yield updated
         if np.array_equal(updated, log_z) and log_z[count] > -np.inf:
-            return
-        log_z = updated
-
-
-def box_partition(count: int, spectrum: BoxSpectrum, thermal: ThermalPoint) -> np.ndarray:
-    """ln Z for 0..count identical particles in one box, levels up to the cutoff."""
-    for log_z in _ln_z_by_level(count, spectrum, thermal):
-        pass
-    return log_z
-
-
-def _stable_box_ln_z(
-    count: int, width: float,
-    spin: SpinStatistics, geometry: WellGeometry, thermal: ThermalPoint, n_max: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """ln Z for 0..count under cutoff doubling, all from one DP pass.
-
-    The pass is read at cutoffs n_max, 2 n_max, ...; each entry is taken at
-    the first cutoff where it moved by less than LN_Z_TOLERANCE. Returns
-    (ln Z, delta, cutoff): each entry's last change (inf before any doubling)
-    and the last cutoff read. Starting cutoffs at or above the default get
-    headroom up to MAX_LEVEL_CUTOFF; smaller ones are treated as deliberate
-    caps and are allowed a single doubling only.
-    """
-    ceiling = MAX_LEVEL_CUTOFF if n_max >= DEFAULT_LEVEL_CUTOFF else 2 * n_max
-    spectrum = BoxSpectrum(width, ceiling, spin.degeneracy, spin.kind, geometry)
-    levels = _ln_z_by_level(count, spectrum, thermal)
-    for ln_z in itertools.islice(levels, n_max):
-        pass
-    value = ln_z
-    delta = np.full(count + 1, np.inf)
-    delta[0] = 0.0  # an empty box has ln Z = 0 at every cutoff
-    cutoff = n_max
-    while 2 * cutoff <= ceiling and not (delta < LN_Z_TOLERANCE).all():
-        previous = ln_z
-        for ln_z in itertools.islice(levels, cutoff):
-            pass
-        cutoff *= 2
-        moving = ~(delta < LN_Z_TOLERANCE)
-        delta = np.where(moving, np.abs(ln_z - previous), delta)
-        value = np.where(moving, ln_z, value)
-    return value, delta, cutoff
+            return updated
+        previous, log_z = log_z, updated
+    delta = float(np.max(log_z - previous))  # a level only adds to each Z
+    raise ConvergenceError(f"ln Z not stable at level cutoff {MAX_LEVEL_CUTOFF}", delta)
 
 
 def _split_ln_z(
     lo: int, hi: int, N: int, wall_pos: float,
-    spin: SpinStatistics, geometry: WellGeometry, thermal: ThermalPoint, n_max: int,
+    spin: SpinStatistics, geometry: WellGeometry, thermal: ThermalPoint,
 ) -> np.ndarray:
     """ln Z_m = ln Z_left(m) + ln Z_right(N - m) for m = lo..hi, one DP pass per box."""
     if not 0 < wall_pos < geometry.length:
         raise ValueError("wall_pos must lie strictly inside the well")
-    left, left_delta, left_cutoff = _stable_box_ln_z(hi, wall_pos, spin, geometry, thermal, n_max)
-    right, right_delta, right_cutoff = _stable_box_ln_z(
-        N - lo, geometry.length - wall_pos, spin, geometry, thermal, n_max
-    )
-    # the first unstable entry in single-m order: m ascending, left box first
-    deltas = np.column_stack((left_delta[lo:], right_delta[N - hi :][::-1])).ravel()
-    failed = np.flatnonzero(~(deltas < LN_Z_TOLERANCE))
-    if failed.size:
-        # an unstable box read every cutoff; the other may have stopped early
-        cutoff = max(left_cutoff, right_cutoff)
-        raise ConvergenceError(f"ln Z not stable at level cutoff {cutoff}", float(deltas[failed[0]]))
+
+    def ln_z(count: int, width: float) -> np.ndarray:
+        return box_partition(count, BoxSpectrum(width, spin.degeneracy, spin.kind, geometry), thermal)
+
+    left = ln_z(hi, wall_pos)  # the left box raises first
+    right = ln_z(N - lo, geometry.length - wall_pos)
     return left[lo:] + right[N - hi :][::-1]
 
 
@@ -163,12 +113,11 @@ def split_partition(
     spin: SpinStatistics,
     geometry: WellGeometry,
     thermal: ThermalPoint,
-    n_max: int = DEFAULT_LEVEL_CUTOFF,
 ) -> float:
     """ln Z_m with the wall at ``wall_pos``: m particles in the left box, N - m in the right."""
     if not 0 <= m <= N:
         raise ValueError(f"require 0 <= m <= N, got m={m}, N={N}")
-    return float(_split_ln_z(m, m, N, wall_pos, spin, geometry, thermal, n_max)[0])
+    return float(_split_ln_z(m, m, N, wall_pos, spin, geometry, thermal)[0])
 
 
 def exact_distribution(
@@ -177,10 +126,9 @@ def exact_distribution(
     spin: SpinStatistics,
     geometry: WellGeometry,
     thermal: ThermalPoint,
-    n_max: int = DEFAULT_LEVEL_CUTOFF,
 ) -> MeasurementDistribution:
     """Exact finite-temperature f_m = Z_m / sum_n Z_n at the given wall position."""
-    log_zm = _split_ln_z(0, N, N, wall_pos, spin, geometry, thermal, n_max)
+    log_zm = _split_ln_z(0, N, N, wall_pos, spin, geometry, thermal)
     weights = np.exp(log_zm - np.max(log_zm))
     return MeasurementDistribution(
         support=np.arange(N + 1, dtype=np.int64), probabilities=weights / np.sum(weights)
@@ -193,7 +141,6 @@ def exact_equilibrium(
     spin: SpinStatistics,
     geometry: WellGeometry,
     thermal: ThermalPoint,
-    n_max: int = DEFAULT_LEVEL_CUTOFF,
 ) -> WallPosition:
     """Wall position maximizing ln Z_m: coarse scan then golden-section refinement."""
     if not 0 <= m <= N:
@@ -205,7 +152,7 @@ def exact_equilibrium(
         return WallPosition(ratio=math.inf, position=L)
 
     def objective(pos: float) -> float:
-        return split_partition(m, N, pos, spin, geometry, thermal, n_max)
+        return split_partition(m, N, pos, spin, geometry, thermal)
 
     grid = np.linspace(0.0, L, 66)[1:-1]
     values = [objective(float(pos)) for pos in grid]
@@ -249,7 +196,6 @@ def ensemble_cycle(
     geometry: WellGeometry,
     thermal: ThermalPoint,
     insertion: float | None = None,
-    n_max: int = DEFAULT_LEVEL_CUTOFF,
 ) -> OracleCycle:
     """Run the full exact cycle: measure, move each wall to equilibrium, total work."""
     L = geometry.length
@@ -257,30 +203,27 @@ def ensemble_cycle(
         insertion = 0.5 * L
     if not 0 < insertion < L:
         raise ValueError("insertion must lie strictly inside the well")
-    dist = exact_distribution(N, insertion, spin, geometry, thermal, n_max)
+    dist = exact_distribution(N, insertion, spin, geometry, thermal)
     equilibria = []
-    fstar = np.empty(N + 1)
+    # ln f*_m, kept in logs: at low T, f*_m underflows where ln f*_m does not
+    log_fstar = np.zeros(N + 1)  # at a boundary Z_m is the only surviving term
     for m in range(N + 1):
-        wall = exact_equilibrium(m, N, spin, geometry, thermal, n_max)
+        wall = exact_equilibrium(m, N, spin, geometry, thermal)
         equilibria.append(wall)
-        if wall.at_boundary:
-            # every particle sits in one box: Z_m is the only surviving term
-            fstar[m] = 1.0
-        else:
-            log_zn = _split_ln_z(0, N, N, wall.position, spin, geometry, thermal, n_max)
-            shifted = log_zn - np.max(log_zn)
-            fstar[m] = math.exp(shifted[m]) / float(np.sum(np.exp(shifted)))
+        if not wall.at_boundary:
+            log_zn = _split_ln_z(0, N, N, wall.position, spin, geometry, thermal)
+            log_fstar[m] = log_zn[m] - np.logaddexp.reduce(log_zn)
     acc = 0.0
     for m in range(N + 1):
         f = float(dist.probabilities[m])
         if f > 0:
-            acc += f * math.log(f / fstar[m])
+            acc += f * (math.log(f) - log_fstar[m])
     work = -BOLTZMANN * thermal.temperature * acc
     return OracleCycle(
         N=N,
         insertion=insertion,
         distribution=dist,
         equilibria=tuple(equilibria),
-        post_expansion=fstar,
+        post_expansion=np.exp(log_fstar),
         total_work=work,
     )

@@ -4,9 +4,10 @@ import pathlib
 import re
 import shlex
 import tempfile
+import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from spinszilard import cli
 
@@ -357,7 +358,7 @@ def test_oracle_tolerance_exceeded(capsys):
 
 
 def test_oracle_cap_nonconvergence(capsys):
-    # deliberately tiny level cutoff at a temperature that occupies many levels
+    # k_B T ~ 2.5e6 E0 occupies far more than the 1024 levels a box DP may add
     code = run(
         [
             "oracle",
@@ -368,19 +369,31 @@ def test_oracle_cap_nonconvergence(capsys):
             "--n",
             "1",
             "--temp",
-            "20",
-            "--nmax",
-            "2",
+            "1e6",
         ]
     )
     assert code == 4
+    assert "level cutoff 1024" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("nmax,code", [("512", 0), ("513", 2)])
-def test_oracle_nmax_bound(nmax, code, capsys):
-    # 512 is the largest cutoff whose doubling fits under MAX_LEVEL_CUTOFF = 1024;
-    # above it ln Z stability could never be checked
-    assert exit_code(f"oracle --species fermion --two-s 1 --n 2 --temp 0.05 --nmax {nmax}") == code
+def test_oracle_hot_box_converging_below_the_cutoff(capsys):
+    # the DP stops before level 1024, so no convergence error
+    argv = "oracle --species fermion --two-s 1 --n 1 --temp 30000 --tolerance 1e300"
+    assert exit_code(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_oracle_cold_work_is_finite(capsys):
+    # k_B T ~ 0.0025 E0: f*_1 ~ exp(-756) would underflow outside the log domain
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = exit_code("oracle --species fermion --two-s 3 --n 3 --temp 1e-3")
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert err == ""
+    payload = json.loads(out)
+    assert all(math.isfinite(x) for x in _numbers(payload))
+    assert payload["rel_delta_W"] < 1e-6
 
 
 def test_oracle_size_guards(capsys):
@@ -464,15 +477,18 @@ def _numbers(value):
         ["phase", "--species", "fermion", "--two-s", "2001", "--n-range", "2000:2002"],
         ["distribution", "--species", "boson", "--two-s", "2000", "--n", "2000", "--temp", "0.1"],
         ["efficiency", "--species", "boson", "--two-s", "2000", "--n", "2000", "--temp", "0.1"],
+        # m C(N, m) and 2^N overflow a float from N = 1021 on
+        ["limits", "--species", "boson", "--two-s", "2", "--n", "1021"],
+        ["limits", "--species", "boson", "--two-s", "2", "--n", "1024"],
     ],
     ids=["work-f2001", "distribution-f2001", "efficiency-f2001", "phase-f2001",
-         "distribution-b2000", "efficiency-b2000"],
+         "distribution-b2000", "efficiency-b2000", "limits-b1021", "limits-b1024"],
 )
 def test_large_spin_finite_output(argv, capsys):
     """Counts far past the float range still give finite numbers and exit 0."""
     assert run(argv) == 0
     out = capsys.readouterr().out
-    payload = out if argv[0] == "phase" else json.loads(out)
+    payload = out if argv[0] in ("phase", "limits") else json.loads(out)
     numbers = _numbers(payload)
     assert numbers
     assert all(math.isfinite(x) for x in numbers)
@@ -490,7 +506,6 @@ def test_large_spin_finite_output(argv, capsys):
         "work --species fermion --two-s 9 --n 3 --temp 0.1 --length inf",
         "work --species fermion --two-s 9 --n 3 --temp 0.1 --mass 1e-320",
         "efficiency --species fermion --two-s 1 --n 2 --temp 1e-300",
-        "oracle --species fermion --two-s 1 --n 2 --temp 0.05 --nmax 0",
         "oracle --species fermion --two-s 9 --n 3 --temp 0.02 --tolerance nan",
         # an empty well has no wall equilibrium to compare
         "oracle --species fermion --two-s 1 --n 0 --temp 0.01",
@@ -538,6 +553,10 @@ def test_range_size_cap_boundary(monkeypatch, capsys):
         "phase --species fermion --two-s 9 --n-range 1:3 --format json --out p.csv",
         "limits --species fermion --two-s 9 --temp 0.1",
         "efficiency --species fermion --two-s 1 --n 2 --temp 0.1 --nmax 3",
+        # the oracle runs each box DP until a level changes nothing: no cutoff flag
+        "oracle --species fermion --two-s 1 --n 2 --temp 0.05 --nmax 0",
+        "oracle --species fermion --two-s 1 --n 2 --temp 0.05 --nmax 512",
+        "oracle --species fermion --two-s 1 --n 2 --temp 0.05 --nmax 513",
         # abbreviations: --n-ra would otherwise parse as --n-range
         "work --species fermion --two-s 9 --n-ra 1:3 --temp 0.1",
         "phase --species fermion --two-s 9 --n-range 1:3 --temp-r 0:1 --out p.csv",
@@ -572,9 +591,27 @@ def test_readme_examples_run(argv, tmp_path, monkeypatch, capsys):
     assert run(argv) == 0
 
 
+def test_readme_flag_table_matches_the_parser():
+    """README's subcommand flag table lists exactly the flags each subcommand accepts."""
+    rows = re.findall(r"^\| ([a-z, ]+) \| (?:plus )?`([^`]*)` \|$", README.read_text(), re.M)
+    common = set()
+    table = {name: set() for name in cli._COMMANDS}
+    for names, flags in rows:
+        dests = {flag.removeprefix("--").replace("-", "_") for flag in flags.split()}
+        if names.startswith("all "):
+            common |= dests
+            continue
+        for name in names.split(", "):
+            assert name in table, name
+            table[name] |= dests
+    assert common
+    for name, (_, declared) in cli._COMMANDS.items():
+        assert common | table[name] == set(declared), name
+
+
 # Fuzzing the CLI contract: every declared flag drawn from cheap values (N <= 60,
 # 2s <= 41, ranges of <= 50 values) mixed with hostile ones, plus undeclared flags.
-# oracle is left to the cases above: high-temperature oracle runs are slow.
+# The oracle's cheap values are its own: N <= 3, degeneracy <= 12, T <= 2 K.
 CHEAP = {
     "n": ["0", "1", "2", "3", "17", "41", "60"],
     "n_range": ["1:50", "0:60:7", "3:3", "2:9"],
@@ -586,18 +623,18 @@ CHEAP = {
     "out": ["out.csv"],
     "config": ["good.conf"],
 }
+CHEAP_ORACLE = dict(CHEAP, n=["1", "2", "3"], temp=["0.02", "0.1", "2"], insertion=["0.3", "0.5"])
 HOSTILE = {
     "species": ["quark"],
     "two_s": ["-3", "nan", "1e300", "", "1,x"],
     "n": ["-3", "1e300", "nan", "inf"],
     "n_range": ["-3:2", "5", "3:1", "1:2:0", "0:1000000000", "a:b", "1:2:3:4", "0:1e300", "0:inf"],
-    "temp": ["nan", "inf", "-3", "1e300", "1e-300", "-inf"],
+    "temp": ["nan", "inf", "-3", "1e300", "1e-300", "-inf", "1e6"],
     "temp_range": ["0:1:1e-9", "0:inf", "nan:1", "1:0", "0:1:0", "1e-300:1e300",
                    "0:1e300", "1e300:1e300", "0:1:-0.1", "x:1"],
     "length": ["nan", "inf", "-3", "0", "1e300", "1e-300", "1e-140", "1e100"],
     "mass": ["nan", "inf", "0", "-3", "1e300", "1e-300", "1e-320"],
-    "insertion": ["0.5"],
-    "nmax": ["40"],
+    "insertion": ["0", "1", "nan"],
     "tolerance": ["1e-3"],
     "format": ["xml"],
     "out": [".", "missing-dir/out.csv"],
@@ -618,11 +655,12 @@ def _one_in(draw, n):
 @st.composite
 def invocations(draw):
     """argv of one subcommand: mostly cheap values, about one in eight hostile."""
-    command = draw(st.sampled_from(["work", "distribution", "phase", "efficiency", "limits"]))
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
     declared = cli._COMMANDS[command][1]
     species = draw(st.sampled_from(["fermion", "boson"]))
-    spins = draw(st.lists(st.integers(0, 20), min_size=1, max_size=3 if command == "phase" else 1))
-    cheap = dict(CHEAP, species=[species],
+    spins = draw(st.lists(st.integers(0, 5 if command == "oracle" else 20),
+                          min_size=1, max_size=3 if command == "phase" else 1))
+    cheap = dict(CHEAP_ORACLE if command == "oracle" else CHEAP, species=[species],
                  two_s=[",".join(str(2 * k + (species == "fermion")) for k in spins)])
     dests = ["species", "two_s"]
     # mostly one flag of each pair, so that many runs get past the conflict check
@@ -631,7 +669,7 @@ def invocations(draw):
         if pair:
             first = draw(st.sampled_from(pair))
             dests += [d for d in pair if (d == first and not _one_in(draw, 4)) or _one_in(draw, 8)]
-    dests += [d for d in ("length", "mass", "format", "out", "strict")
+    dests += [d for d in ("length", "mass", "insertion", "tolerance", "format", "out", "strict")
               if d in declared and draw(st.booleans())]
     if _one_in(draw, 8):
         dests.append("config")
@@ -649,6 +687,11 @@ def invocations(draw):
 @settings(max_examples=500, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=invocations())
+# the oracle's hostile values, run every time whatever the strategy draws
+@example(argv=shlex.split("oracle --species fermion --two-s 1 --n 2 --temp 1e6"))
+@example(argv=shlex.split("oracle --species boson --two-s 2 --n 3 --temp 0.1 --insertion 0"))
+@example(argv=shlex.split("oracle --species boson --two-s 2 --n 3 --temp 0.1 --insertion 1"))
+@example(argv=shlex.split("oracle --species fermion --two-s 3 --n 2 --temp 2 --insertion nan"))
 def test_cli_fuzz_exit_contract(argv, tmp_path, monkeypatch, capsys):
     # a fresh directory per example, so no example reads another one's output files
     workdir = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
@@ -657,7 +700,8 @@ def test_cli_fuzz_exit_contract(argv, tmp_path, monkeypatch, capsys):
         (workdir / name).write_text(text)
     capsys.readouterr()
     code = exit_code(argv)
-    assert code in (0, 2, 3)
+    # 3 is a strict-mode exit; the oracle has no --strict, but exits 4 on a failed check
+    assert code in ((0, 2, 4) if argv[0] == "oracle" else (0, 2, 3))
     written = [capsys.readouterr().out] + [
         path.read_text() for path in workdir.iterdir() if path.name.startswith("out.csv")
     ]

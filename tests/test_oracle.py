@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,18 +48,16 @@ def brute_force_ln_z(count, width, degeneracy, kind, thermal, cutoff):
 @pytest.mark.parametrize("count,degeneracy", [(1, 1), (2, 1), (2, 2), (3, 2)])
 def test_box_partition_matches_enumeration(kind, count, degeneracy):
     thermal = thermal_at(2.0)
-    cutoff = 12
-    spectrum = oracle.BoxSpectrum(
-        width=0.5 * L, level_cutoff=cutoff, degeneracy=degeneracy, kind=kind, geometry=GEOM
-    )
+    spectrum = oracle.BoxSpectrum(width=0.5 * L, degeneracy=degeneracy, kind=kind, geometry=GEOM)
     dp = oracle.box_partition(count, spectrum, thermal)[count]
-    direct = brute_force_ln_z(count, 0.5 * L, degeneracy, kind, thermal, cutoff)
+    # level 12 weighs exp(-288) per particle here: far below the last bit of Z
+    direct = brute_force_ln_z(count, 0.5 * L, degeneracy, kind, thermal, 12)
     assert dp == pytest.approx(direct, rel=1e-12)
 
 
 def test_box_partition_empty_box():
     spectrum = oracle.BoxSpectrum(
-        width=0.5 * L, level_cutoff=8, degeneracy=2, kind=ParticleKind.FERMION, geometry=GEOM
+        width=0.5 * L, degeneracy=2, kind=ParticleKind.FERMION, geometry=GEOM
     )
     assert oracle.box_partition(0, spectrum, thermal_at(1.0)).tolist() == [0.0]
     with pytest.raises(ValueError):
@@ -70,10 +69,8 @@ def test_box_partition_empty_box():
 def test_box_partition_one_pass_serves_every_count(kind, degeneracy):
     """Entry k of the pass for N particles is bitwise the pass for k particles."""
     N = 6
-    for kbt, cutoff in [(0.1, 64), (1.0, 12), (5.0, 64)]:
-        spectrum = oracle.BoxSpectrum(
-            width=0.4 * L, level_cutoff=cutoff, degeneracy=degeneracy, kind=kind, geometry=GEOM
-        )
+    spectrum = oracle.BoxSpectrum(width=0.4 * L, degeneracy=degeneracy, kind=kind, geometry=GEOM)
+    for kbt in [0.1, 1.0, 5.0]:
         thermal = thermal_at(kbt)
         whole = oracle.box_partition(N, spectrum, thermal)
         assert len(whole) == N + 1
@@ -81,32 +78,19 @@ def test_box_partition_one_pass_serves_every_count(kind, degeneracy):
             assert whole[k] == oracle.box_partition(k, spectrum, thermal)[k]
 
 
-def test_split_partition_after_one_doubling():
-    """A cap of 6 levels converges at 12: the pass continued equals a fresh 12-level DP."""
-    spin = SpinStatistics.fermion(1)
-    thermal = thermal_at(5.0)
-    value = oracle.split_partition(1, 3, 0.5 * L, spin, GEOM, thermal, n_max=6)
-
-    def fresh(count, cutoff):
-        spectrum = oracle.BoxSpectrum(0.5 * L, cutoff, spin.degeneracy, spin.kind, GEOM)
-        return oracle.box_partition(count, spectrum, thermal)[count]
-
-    # the doubling moved ln Z, by less than the tolerance
-    assert 0 < abs(fresh(1, 12) - fresh(1, 6)) < oracle.LN_Z_TOLERANCE
-    assert value == fresh(1, 12) + fresh(2, 12)
-    # recorded when each cutoff re-ran the DP from level 1 (x86-64, numpy 2.4)
-    assert value == float.fromhex("-0x1.4c2e2eac97d79p+0")
+def test_split_partition_hot_single_fermion_matches_theta_sum():
+    """Hundreds of levels: the DP runs until a level changes nothing, below 1024."""
+    thermal = thermal_at(1e5)
+    a = thermal.beta * level_energy(1, 0.5 * L, GEOM)
+    # sum_{n>=1} exp(-a n^2) = (sqrt(pi/a) - 1)/2 up to terms of order exp(-pi^2/a)
+    expected = math.log(2.0) + math.log(0.5 * (math.sqrt(math.pi / a) - 1.0))
+    value = oracle.split_partition(1, 1, 0.5 * L, SpinStatistics.fermion(1), GEOM, thermal)
+    assert value == pytest.approx(expected, rel=1e-13)
 
 
 def test_spectrum_validation():
     with pytest.raises(ValueError):
-        oracle.BoxSpectrum(
-            width=L, level_cutoff=0, degeneracy=2, kind=ParticleKind.BOSON, geometry=GEOM
-        )
-    with pytest.raises(ValueError):
-        oracle.BoxSpectrum(
-            width=L, level_cutoff=4, degeneracy=0, kind=ParticleKind.BOSON, geometry=GEOM
-        )
+        oracle.BoxSpectrum(width=L, degeneracy=0, kind=ParticleKind.BOSON, geometry=GEOM)
 
 
 def test_exact_distribution_normalized_and_symmetric():
@@ -171,18 +155,42 @@ def test_ensemble_cycle_matches_closed_form_work():
         assert exact == pytest.approx(closed, rel=1e-6)
 
 
-def test_convergence_error_with_deliberate_cap():
-    """A level cutoff far below the thermal occupation cannot stabilize ln Z."""
+def test_ensemble_cycle_cold_post_expansion_stays_in_logs():
+    """At k_B T ~ 0.0025 E0, f*_1 ~ exp(-756) underflows; W is formed from ln f*."""
+    thermal = ThermalPoint(1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cycle = oracle.ensemble_cycle(3, SpinStatistics.fermion(3), GEOM, thermal)
+    assert cycle.distribution.probabilities[1] > 0.1
+    assert cycle.post_expansion[1] < 1e-300
+    closed = fermion.total_work(decompose(3, 2), GEOM, thermal)
+    assert cycle.total_work == pytest.approx(closed, rel=1e-6)
+
+
+def test_convergence_error_when_levels_run_out():
+    """At k_B T = 1e7 E0 level 1024 still carries weight: no level changes nothing."""
     spin = SpinStatistics.fermion(1)
-    with pytest.raises(oracle.ConvergenceError) as err:
-        oracle.split_partition(1, 1, 0.5 * L, spin, GEOM, thermal_at(50.0), n_max=2)
-    assert err.value.achieved_delta > oracle.LN_Z_TOLERANCE
+    thermal = thermal_at(1e7)
+    with pytest.raises(oracle.ConvergenceError, match="level cutoff 1024 ") as err:
+        oracle.split_partition(1, 1, 0.3 * L, spin, GEOM, thermal)
+    assert err.value.achieved_delta > 0
+    # the left box raises first
+    left = oracle.BoxSpectrum(0.3 * L, spin.degeneracy, spin.kind, GEOM)
+    with pytest.raises(oracle.ConvergenceError) as left_err:
+        oracle.box_partition(1, left, thermal)
+    assert err.value.achieved_delta == left_err.value.achieved_delta
 
 
-def test_convergence_error_names_the_last_cutoff():
-    # the narrow left box stabilizes early; the wide right box runs up to the ceiling
-    with pytest.raises(oracle.ConvergenceError, match="level cutoff 1024 "):
-        oracle.exact_distribution(1, 0.1 * L, SpinStatistics.fermion(1), GEOM, thermal_at(3e4))
+def test_hot_wide_box_converges_before_the_cutoff():
+    """The wide right box needs most of the 1024 levels but stops before the last."""
+    thermal = thermal_at(3e4)
+    dist = oracle.exact_distribution(1, 0.1 * L, SpinStatistics.fermion(1), GEOM, thermal)
+    # one particle: f_1 = Z_left / (Z_left + Z_right), each Z a theta sum as above
+    left, right = (
+        math.sqrt(math.pi / (thermal.beta * level_energy(1, width, GEOM))) - 1.0
+        for width in (0.1 * L, 0.9 * L)
+    )
+    assert dist.probabilities[1] == pytest.approx(left / (left + right), rel=1e-12)
 
 
 def test_split_partition_validation():
