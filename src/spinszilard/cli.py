@@ -208,10 +208,10 @@ def _t_values(args: argparse.Namespace) -> list[float]:
 
 
 def _thermal(args: argparse.Namespace) -> ThermalPoint:
-    t_values = _t_values(args)
-    if len(t_values) != 1 or t_values[0] <= 0:
+    (temperature,) = _t_values(args)
+    if temperature <= 0:
         raise ConfigError(f"{args.command} requires a single --temp > 0")
-    return ThermalPoint(t_values[0])
+    return ThermalPoint(temperature)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -287,11 +287,8 @@ def cmd_work(args: argparse.Namespace) -> int:
 def cmd_distribution(args: argparse.Namespace) -> int:
     spin = _spin(args.species, args.two_s)
     geometry = _geometry(args)
-    n_values = _n_values(args)
-    if len(n_values) != 1:
-        raise ConfigError("distribution requires a single --n")
-    N = n_values[0]
-    thermal = None if args.temp is None and args.temp_range is None else _thermal(args)
+    (N,) = _n_values(args)
+    thermal = None if args.temp is None else _thermal(args)
     filling = phase.filling(spin, N)
     dist = information.measurement_distribution(filling)
     m_values = [int(m) for m in dist.support]
@@ -393,10 +390,7 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     spin = _spin(args.species, args.two_s)
     geometry = _geometry(args)
-    n_values = _n_values(args)
-    if len(n_values) != 1:
-        raise ConfigError("oracle requires a single --n")
-    N = n_values[0]
+    (N,) = _n_values(args)
     # an empty well (N = 0) has no wall equilibrium to compare
     if not 1 <= N <= 6:
         raise ConfigError("oracle is restricted to 1 <= N <= 6")
@@ -478,6 +472,8 @@ def cmd_limits(args: argparse.Namespace) -> int:
     e0 = geometry.reference_energy
     rows = []
     if spin.kind is ParticleKind.FERMION:
+        if args.n is not None or args.n_range is not None:
+            raise ConfigError("fermion limits index k in [0, 4u); --n and --n-range are for bosons")
         u = spin.u
         header = ["k", "D_F", "avg_W0F_limit_joule", "avg_W0F_limit_per_E0"]
         for k in range(4 * u):
@@ -512,16 +508,15 @@ _FLAGS: dict[str, dict[str, Any]] = {
 }
 
 _COMMON = ("species", "two_s", "length", "mass", "out", "config")
-_POINTS = ("n", "n_range", "temp", "temp_range")
-_SWEEP = _POINTS + ("format", "strict")
+_OUTPUT = ("format", "strict")
 
 #: each subcommand's handler and the flags it reads; it accepts no others
 _COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], tuple[str, ...]]] = {
-    "work": (cmd_work, _COMMON + _SWEEP),
-    "distribution": (cmd_distribution, _COMMON + _SWEEP),
+    "work": (cmd_work, _COMMON + ("n", "n_range", "temp", "temp_range") + _OUTPUT),
+    "distribution": (cmd_distribution, _COMMON + ("n", "temp") + _OUTPUT),
     "phase": (cmd_phase, _COMMON + ("n_range", "temp_range", "strict")),
-    "efficiency": (cmd_efficiency, _COMMON + _SWEEP),
-    "oracle": (cmd_oracle, _COMMON + _POINTS + ("insertion", "tolerance", "format")),
+    "efficiency": (cmd_efficiency, _COMMON + ("n", "n_range", "temp") + _OUTPUT),
+    "oracle": (cmd_oracle, _COMMON + ("n", "temp", "insertion", "tolerance", "format")),
     "limits": (cmd_limits, _COMMON + ("n", "n_range")),
 }
 

@@ -90,34 +90,24 @@ def box_partition(count: int, spectrum: BoxSpectrum, thermal: ThermalPoint) -> n
     raise ConvergenceError(f"ln Z not stable at level cutoff {MAX_LEVEL_CUTOFF}", delta)
 
 
-def _split_ln_z(
-    lo: int, hi: int, N: int, wall_pos: float,
-    spin: SpinStatistics, geometry: WellGeometry, thermal: ThermalPoint,
-) -> np.ndarray:
-    """ln Z_m = ln Z_left(m) + ln Z_right(N - m) for m = lo..hi, one DP pass per box."""
-    if not 0 < wall_pos < geometry.length:
-        raise ValueError("wall_pos must lie strictly inside the well")
-
-    def ln_z(count: int, width: float) -> np.ndarray:
-        return box_partition(count, BoxSpectrum(width, spin.degeneracy, spin.kind, geometry), thermal)
-
-    left = ln_z(hi, wall_pos)  # the left box raises first
-    right = ln_z(N - lo, geometry.length - wall_pos)
-    return left[lo:] + right[N - hi :][::-1]
-
-
 def split_partition(
-    m: int,
     N: int,
     wall_pos: float,
     spin: SpinStatistics,
     geometry: WellGeometry,
     thermal: ThermalPoint,
-) -> float:
-    """ln Z_m with the wall at ``wall_pos``: m particles in the left box, N - m in the right."""
-    if not 0 <= m <= N:
-        raise ValueError(f"require 0 <= m <= N, got m={m}, N={N}")
-    return float(_split_ln_z(m, m, N, wall_pos, spin, geometry, thermal)[0])
+) -> np.ndarray:
+    """ln Z_m = ln Z_left(m) + ln Z_right(N - m) for m = 0..N, with the wall at ``wall_pos``.
+
+    One DP pass of count N per box serves every m; the left box raises first.
+    """
+    if not 0 < wall_pos < geometry.length:
+        raise ValueError("wall_pos must lie strictly inside the well")
+
+    def ln_z(width: float) -> np.ndarray:
+        return box_partition(N, BoxSpectrum(width, spin.degeneracy, spin.kind, geometry), thermal)
+
+    return ln_z(wall_pos) + ln_z(geometry.length - wall_pos)[::-1]
 
 
 def exact_distribution(
@@ -128,54 +118,51 @@ def exact_distribution(
     thermal: ThermalPoint,
 ) -> MeasurementDistribution:
     """Exact finite-temperature f_m = Z_m / sum_n Z_n at the given wall position."""
-    log_zm = _split_ln_z(0, N, N, wall_pos, spin, geometry, thermal)
+    log_zm = split_partition(N, wall_pos, spin, geometry, thermal)
     weights = np.exp(log_zm - np.max(log_zm))
     return MeasurementDistribution(
         support=np.arange(N + 1, dtype=np.int64), probabilities=weights / np.sum(weights)
     )
 
 
-def exact_equilibrium(
-    m: int,
-    N: int,
-    spin: SpinStatistics,
-    geometry: WellGeometry,
-    thermal: ThermalPoint,
-) -> WallPosition:
-    """Wall position maximizing ln Z_m: coarse scan then golden-section refinement."""
-    if not 0 <= m <= N:
-        raise ValueError(f"require 0 <= m <= N, got m={m}, N={N}")
+def exact_equilibria(
+    N: int, spin: SpinStatistics, geometry: WellGeometry, thermal: ThermalPoint
+) -> tuple[WallPosition, ...]:
+    """Wall positions maximizing ln Z_m for m = 0..N: one coarse scan of the ln Z
+    vector serves every m, then a golden-section refinement of each interior m."""
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
     L = geometry.length
-    if m == 0:
-        return WallPosition(ratio=0.0, position=0.0)
-    if m == N:
-        return WallPosition(ratio=math.inf, position=L)
 
-    def objective(pos: float) -> float:
-        return split_partition(m, N, pos, spin, geometry, thermal)
+    def ln_z(pos: float) -> np.ndarray:
+        return split_partition(N, pos, spin, geometry, thermal)
 
     grid = np.linspace(0.0, L, 66)[1:-1]
-    values = [objective(float(pos)) for pos in grid]
-    best = int(np.argmax(values))
-    lo = float(grid[max(best - 1, 0)])
-    hi = float(grid[min(best + 1, len(grid) - 1)])
-
-    # golden-section maximization on [lo, hi]
-    a, b = lo, hi
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1, f2 = objective(x1), objective(x2)
-    while b - a > POSITION_TOLERANCE * L:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = objective(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = objective(x1)
-    position = 0.5 * (a + b)
-    return WallPosition(ratio=position / (L - position), position=position)
+    # below N = 2 there is no interior m to scan for
+    scan = np.array([ln_z(float(pos)) for pos in grid]) if N > 1 else None
+    walls = [WallPosition(ratio=0.0, position=0.0)]
+    for m in range(1, N):
+        best = int(np.argmax(scan[:, m]))
+        # golden-section maximization of ln Z_m on the bracket around the best grid point
+        a = float(grid[max(best - 1, 0)])
+        b = float(grid[min(best + 1, len(grid) - 1)])
+        x1 = b - _INV_PHI * (b - a)
+        x2 = a + _INV_PHI * (b - a)
+        f1, f2 = ln_z(x1)[m], ln_z(x2)[m]
+        while b - a > POSITION_TOLERANCE * L:
+            if f1 < f2:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + _INV_PHI * (b - a)
+                f2 = ln_z(x2)[m]
+            else:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - _INV_PHI * (b - a)
+                f1 = ln_z(x1)[m]
+        position = 0.5 * (a + b)
+        walls.append(WallPosition(ratio=position / (L - position), position=position))
+    if N > 0:
+        walls.append(WallPosition(ratio=math.inf, position=L))
+    return tuple(walls)
 
 
 @dataclass(frozen=True)
@@ -204,14 +191,12 @@ def ensemble_cycle(
     if not 0 < insertion < L:
         raise ValueError("insertion must lie strictly inside the well")
     dist = exact_distribution(N, insertion, spin, geometry, thermal)
-    equilibria = []
+    equilibria = exact_equilibria(N, spin, geometry, thermal)
     # ln f*_m, kept in logs: at low T, f*_m underflows where ln f*_m does not
     log_fstar = np.zeros(N + 1)  # at a boundary Z_m is the only surviving term
-    for m in range(N + 1):
-        wall = exact_equilibrium(m, N, spin, geometry, thermal)
-        equilibria.append(wall)
+    for m, wall in enumerate(equilibria):
         if not wall.at_boundary:
-            log_zn = _split_ln_z(0, N, N, wall.position, spin, geometry, thermal)
+            log_zn = split_partition(N, wall.position, spin, geometry, thermal)
             log_fstar[m] = log_zn[m] - np.logaddexp.reduce(log_zn)
     acc = 0.0
     for m in range(N + 1):
@@ -223,7 +208,7 @@ def ensemble_cycle(
         N=N,
         insertion=insertion,
         distribution=dist,
-        equilibria=tuple(equilibria),
+        equilibria=equilibria,
         post_expansion=np.exp(log_fstar),
         total_work=work,
     )

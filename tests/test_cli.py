@@ -424,6 +424,15 @@ def test_limits_boson(capsys):
     assert float(row3[1]) == pytest.approx(3 * math.log(2), rel=1e-8)
 
 
+@pytest.mark.parametrize("flag", ["--n 3", "--n-range 1:1000000"])
+def test_limits_fermion_rejects_n(flag, capsys):
+    """The fermion table indexes k in [0, 4u): an N flag there is an error, not ignored."""
+    assert exit_code(f"limits --species fermion --two-s 1 {flag}") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "k in [0, 4u)" in captured.err
+
+
 def test_config_file(tmp_path, capsys):
     config = tmp_path / "engine.conf"
     config.write_text(
@@ -557,6 +566,12 @@ def test_range_size_cap_boundary(monkeypatch, capsys):
         "oracle --species fermion --two-s 1 --n 2 --temp 0.05 --nmax 0",
         "oracle --species fermion --two-s 1 --n 2 --temp 0.05 --nmax 512",
         "oracle --species fermion --two-s 1 --n 2 --temp 0.05 --nmax 513",
+        # a range flag is declared only where it may expand to several values
+        "distribution --species fermion --two-s 9 --n-range 3:3 --temp 0.1",
+        "distribution --species fermion --two-s 9 --n 3 --temp-range 0.1:0.1",
+        "oracle --species fermion --two-s 9 --n-range 3:3 --temp 0.1",
+        "oracle --species fermion --two-s 9 --n 3 --temp-range 0.1:0.1",
+        "efficiency --species fermion --two-s 1 --n 2 --temp-range 0.1:0.1",
         # abbreviations: --n-ra would otherwise parse as --n-range
         "work --species fermion --two-s 9 --n-ra 1:3 --temp 0.1",
         "phase --species fermion --two-s 9 --n-range 1:3 --temp-r 0:1 --out p.csv",

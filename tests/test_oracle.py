@@ -84,7 +84,7 @@ def test_split_partition_hot_single_fermion_matches_theta_sum():
     a = thermal.beta * level_energy(1, 0.5 * L, GEOM)
     # sum_{n>=1} exp(-a n^2) = (sqrt(pi/a) - 1)/2 up to terms of order exp(-pi^2/a)
     expected = math.log(2.0) + math.log(0.5 * (math.sqrt(math.pi / a) - 1.0))
-    value = oracle.split_partition(1, 1, 0.5 * L, SpinStatistics.fermion(1), GEOM, thermal)
+    value = oracle.split_partition(1, 0.5 * L, SpinStatistics.fermion(1), GEOM, thermal)[1]
     assert value == pytest.approx(expected, rel=1e-13)
 
 
@@ -117,15 +117,16 @@ def test_exact_distribution_approaches_closed_form_at_low_t():
 def test_exact_equilibrium_boundaries_and_symmetry():
     spin = SpinStatistics.boson(0)
     thermal = thermal_at(0.1)
-    assert oracle.exact_equilibrium(0, 2, spin, GEOM, thermal).position == 0.0
-    assert oracle.exact_equilibrium(2, 2, spin, GEOM, thermal).position == L
-    mid = oracle.exact_equilibrium(1, 2, spin, GEOM, thermal)
+    walls = oracle.exact_equilibria(2, spin, GEOM, thermal)
+    assert walls[0].position == 0.0
+    assert walls[2].position == L
+    mid = walls[1]
     assert mid.position == pytest.approx(0.5 * L, rel=1e-6)
 
 
 def test_exact_equilibrium_matches_cubic_rule():
     # one of three spinless bosons on the left: l_eq/L from r^3 = 1/2
-    wall = oracle.exact_equilibrium(1, 3, SpinStatistics.boson(0), GEOM, thermal_at(0.05))
+    wall = oracle.exact_equilibria(3, SpinStatistics.boson(0), GEOM, thermal_at(0.05))[1]
     r = 0.5 ** (1 / 3)
     assert wall.position / L == pytest.approx(r / (1 + r), abs=1e-4)
 
@@ -172,7 +173,7 @@ def test_convergence_error_when_levels_run_out():
     spin = SpinStatistics.fermion(1)
     thermal = thermal_at(1e7)
     with pytest.raises(oracle.ConvergenceError, match="level cutoff 1024 ") as err:
-        oracle.split_partition(1, 1, 0.3 * L, spin, GEOM, thermal)
+        oracle.split_partition(1, 0.3 * L, spin, GEOM, thermal)
     assert err.value.achieved_delta > 0
     # the left box raises first
     left = oracle.BoxSpectrum(0.3 * L, spin.degeneracy, spin.kind, GEOM)
@@ -196,8 +197,41 @@ def test_hot_wide_box_converges_before_the_cutoff():
 def test_split_partition_validation():
     spin = SpinStatistics.fermion(1)
     with pytest.raises(ValueError):
-        oracle.split_partition(3, 2, 0.5 * L, spin, GEOM, thermal_at(0.1))
-    with pytest.raises(ValueError):
-        oracle.split_partition(1, 2, 0.0, spin, GEOM, thermal_at(0.1))
+        oracle.split_partition(2, 0.0, spin, GEOM, thermal_at(0.1))
     with pytest.raises(ValueError):
         oracle.ensemble_cycle(2, spin, GEOM, thermal_at(0.1), insertion=L)
+
+
+@pytest.mark.parametrize(
+    "spin,N,kbt,insertion,work,walls",
+    [
+        (SpinStatistics.fermion(3), 4, 0.1, 0.5, "-0x1.00c856fb58992p-77",
+         ["0x0.0p+0", "0x1.c2345686d6a4ep-32", "0x1.12e0be6073eb6p-31",
+          "0x1.44a7517eabb34p-31", "0x1.12e0be826d695p-30"]),
+        (SpinStatistics.boson(2), 5, 0.5, 0.5, "-0x1.1353fcdb97d65p-77",
+         ["0x0.0p+0", "0x1.a8f2c19341d6cp-32", "0x1.00549fc4d3b88p-31",
+          "0x1.256cdd1182d88p-31", "0x1.51481c38bee85p-31", "0x1.12e0be826d695p-30"]),
+        (SpinStatistics.fermion(1), 3, 0.1, 0.3, "0x1.c0a2bdd6b53e1p-119",
+         ["0x0.0p+0", "0x1.e686cd0434bcap-32", "0x1.327e1698d3662p-31", "0x1.12e0be826d695p-30"]),
+        (SpinStatistics.boson(0), 6, 0.02, 0.5, "-0x1.01aa5d8482524p-76",
+         ["0x0.0p+0", "0x1.95ba3a31386a2p-32", "0x1.e686cd039ed5ap-32",
+          "0x1.12e0be6073eb6p-31", "0x1.327e1677c54bep-31", "0x1.5ae45fd8c34b9p-31",
+          "0x1.12e0be826d695p-30"]),
+    ],
+    ids=["f3-N4", "b2-N5", "f1-N3-ins0.3", "b0-N6"],
+)
+def test_ensemble_cycle_pinned_bits(spin, N, kbt, insertion, work, walls):
+    """W and every wall position, bit for bit as the per-outcome wall search gave them."""
+    cycle = oracle.ensemble_cycle(N, spin, GEOM, thermal_at(kbt), insertion=insertion * L)
+    assert float(cycle.total_work).hex() == work
+    assert [float(wall.position).hex() for wall in cycle.equilibria] == walls
+
+
+@pytest.mark.parametrize("N", range(2, 7))
+@pytest.mark.parametrize("spin", [SpinStatistics.fermion(3), SpinStatistics.boson(2)], ids=["f3", "b2"])
+def test_exact_equilibria_mirror(spin, N):
+    """m on the left is N - m on the right: mirrored walls sum to L."""
+    walls = oracle.exact_equilibria(N, spin, GEOM, thermal_at(0.5))
+    assert len(walls) == N + 1
+    for m in range(N + 1):
+        assert abs(walls[m].position + walls[N - m].position - L) <= 1e-7 * L
