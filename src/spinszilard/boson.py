@@ -14,7 +14,6 @@ from .core import WellGeometry, WorkDecomposition
 from .equilibrium import boson_eq_ratio, level_split, wall_position
 from .information import (  # noqa: F401  (re-exported species-agnostic path)
     Outcome,
-    log_post_expansion_weight,
     measurement_distribution,
     relative_entropy_work,
     total_work,

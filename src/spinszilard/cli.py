@@ -181,6 +181,12 @@ def _geometry(args: argparse.Namespace) -> WellGeometry:
     return geometry
 
 
+def _required(args: argparse.Namespace, *dests: str) -> ConfigError:
+    """The error for a missing value: one of ``dests``, as far as the subcommand has them."""
+    flags = ["--" + dest.replace("_", "-") for dest in dests if dest in _COMMANDS[args.command][1]]
+    return ConfigError(("one of " if len(flags) > 1 else "") + " or ".join(flags) + " is required")
+
+
 def _n_values(args: argparse.Namespace) -> list[int]:
     if args.n is not None and args.n_range is not None:
         raise ConfigError("give either --n or --n-range, not both")
@@ -190,7 +196,7 @@ def _n_values(args: argparse.Namespace) -> list[int]:
         return [args.n]
     if args.n_range is not None:
         return _parse_range(args.n_range, int)
-    raise ConfigError("one of --n or --n-range is required")
+    raise _required(args, "n", "n_range")
 
 
 def _t_values(args: argparse.Namespace) -> list[float]:
@@ -201,7 +207,7 @@ def _t_values(args: argparse.Namespace) -> list[float]:
     elif args.temp_range is not None:
         values = _parse_range(args.temp_range, float)
     else:
-        raise ConfigError("one of --temp or --temp-range is required")
+        raise _required(args, "temp", "temp_range")
     if any(t < 0 or 0 < BOLTZMANN * t < sys.float_info.min for t in values):
         raise ConfigError("temperatures must be >= 0, and k_B T a normal float if nonzero")
     return values
@@ -210,7 +216,7 @@ def _t_values(args: argparse.Namespace) -> list[float]:
 def _thermal(args: argparse.Namespace) -> ThermalPoint:
     (temperature,) = _t_values(args)
     if temperature <= 0:
-        raise ConfigError(f"{args.command} requires a single --temp > 0")
+        raise ConfigError(f"{args.command} requires --temp > 0")
     return ThermalPoint(temperature)
 
 
@@ -289,16 +295,13 @@ def cmd_distribution(args: argparse.Namespace) -> int:
     geometry = _geometry(args)
     (N,) = _n_values(args)
     thermal = None if args.temp is None else _thermal(args)
-    filling = phase.filling(spin, N)
-    dist = information.measurement_distribution(filling)
+    table = information.outcome_table(phase.filling(spin, N), geometry)
+    dist = table.distribution
     m_values = [int(m) for m in dist.support]
     f_values = [float(p) for p in dist.probabilities]
     stars = None
     if thermal is not None:
-        stars = [
-            _exp_cell(information.log_post_expansion_weight(filling, m, geometry, thermal))
-            for m in m_values
-        ]
+        stars = [_exp_cell(x) for x in table.log_fstar(thermal)]
         if args.strict and UNDEFINED in stars:
             raise StrictUndefinedError()
     fmt = args.format or "json"
@@ -368,10 +371,10 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
         else:
             second = N == 2
             alpha = (2.0 * spin.s + 2.0) / (4.0 * spin.s + 3.0)
-        w_tot = information.total_work(filling, geometry, thermal)
-        dist = information.measurement_distribution(filling)
-        w_eras = information.erasure_work(dist, thermal)
-        w_net = information.net_work(filling, geometry, thermal)
+        table = information.outcome_table(filling, geometry)
+        w_tot = table.work_coefficients().total_work(thermal)
+        w_eras = information.erasure_work(table.distribution, thermal)
+        w_net = table.net_work(thermal)
         rows.append({
             "species": spin.kind.value,
             "two_s": spin.twice_spin,
@@ -405,8 +408,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
     cycle = oracle.ensemble_cycle(N, spin, geometry, thermal, insertion=insertion_frac * L)
     filling = phase.filling(spin, N)
-    analytic_dist = information.measurement_distribution(filling)
-    analytic_work = information.total_work(filling, geometry, thermal)
+    table = information.outcome_table(filling, geometry)
+    analytic_dist = table.distribution
+    analytic_work = table.work_coefficients().total_work(thermal)
 
     rows = []
     max_df = 0.0

@@ -19,13 +19,6 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-def log_binomial(a: int, b: int) -> float:
-    """ln C(a, b) of the exact integer; domain error outside 0 <= b <= a."""
-    if a < 0 or b < 0 or b > a:
-        raise ValueError(f"log_binomial requires 0 <= b <= a, got a={a}, b={b}")
-    return math.log(math.comb(a, b))
-
-
 def bose_state_count(degeneracy: int, particles: int) -> int:
     """Microstates of ``particles`` indistinguishable bosons in ``degeneracy`` modes."""
     if degeneracy < 1:

@@ -17,7 +17,6 @@ from .core import HBAR, WellGeometry
 from .equilibrium import fermion_eq_ratio
 from .information import (  # noqa: F401  (re-exported species-agnostic path)
     Outcome,
-    log_post_expansion_weight,
     measurement_distribution,
     relative_entropy_work,
     total_work,

@@ -3,10 +3,11 @@
 A species' filling type only counts the configurations of its remainder:
 over all outcomes (``total_ways``), with all of it on one side
 (``edge_ways``) and, through its row builder ``outcome(m)``, for outcome m.
-This module turns the counts into one table row per outcome, f_m, ln f_m and
-ln f_m* = lw_m - beta c_m with lw_m = ln(ways/edge_ways) and c_m = mu_m dE_m
-(mu_m remainder particles on the lighter side, dE_m the level splitting at
-the wall), and reduces the table to every observable for both species.
+``outcome_table`` turns the counts into one ``OutcomeTable`` of numpy columns
+over the support: f_m, ln f_m, and lw_m and c_m of ln f_m* = lw_m - beta c_m,
+with lw_m = ln(ways/edge_ways) and c_m = mu_m dE_m (mu_m remainder particles
+on the lighter side, dE_m the level splitting at the wall). Every observable
+is a reduction over that table, for both species.
 
 Entropies are kept in nats throughout (one bit = ln 2 nats); the erasure
 cost k_B T H(f) is identical either way and nats avoid conversion factors
@@ -52,98 +53,106 @@ class Filling(Protocol):
     def outcome(self, m: int) -> Outcome: ...
 
 
-class OutcomeRow(NamedTuple):
-    """Outcome m's f_m, ln f_m, and ln f_m* = log_prefactor - beta * energy."""
+class OutcomeTable(NamedTuple):
+    """Every outcome m of a filling's support, ascending, as numpy columns."""
 
-    f: float
-    log_f: float
-    log_prefactor: float
-    energy: float  # c_m [J]
+    support: np.ndarray
+    f: np.ndarray
+    log_f: np.ndarray
+    lw: np.ndarray
+    c: np.ndarray  # [J]
+
+    @property
+    def distribution(self) -> MeasurementDistribution:
+        """The measurement distribution: a view of ``support`` and ``f``."""
+        return MeasurementDistribution(support=self.support, probabilities=self.f)
+
+    def log_fstar(self, thermal: ThermalPoint) -> np.ndarray:
+        """ln f_m* = lw_m - beta c_m; log-domain so deep low-T exponents do not underflow."""
+        beta = thermal.beta
+        log_fstar = self.lw.copy()
+        # an outcome whose wall does not move carries no Boltzmann factor
+        moved = self.c != 0
+        log_fstar[moved] -= beta * self.c[moved]
+        return log_fstar
+
+    def work_coefficients(self) -> WorkDecomposition:
+        """Slope D and zero-temperature absorbed work W_0 = sum f_m c_m of the affine work law."""
+        central = self.f[len(self.f) // 2] if len(self.f) % 2 else 0.0
+        # every non-central outcome has lw - ln f = ln(total_ways / edge_ways), so
+        # D = sum f (lw - ln f) closes to (1 - f_central) ln(total_ways / edge_ways),
+        # which the edge outcome holds exactly (its lw is 0)
+        slope = (1.0 - central) * (self.lw[0] - self.log_f[0])
+        return WorkDecomposition(slope=float(slope), absorbed=float(self.f @ self.c))
+
+    def relative_entropy_work(self, thermal: ThermalPoint) -> float:
+        """Direct -k_B T sum f_m ln(f_m / f_m*) evaluation, for cross-checking."""
+        seen = self.f > 0
+        gap = self.log_f[seen] - self.log_fstar(thermal)[seen]
+        return -BOLTZMANN * thermal.temperature * float(self.f[seen] @ gap)
+
+    def net_work(self, thermal: ThermalPoint) -> float:
+        """Net cycle work after paying erasure: k_B T sum f_m ln f_m* (always <= 0)."""
+        seen = self.f > 0
+        log_fstar = self.log_fstar(thermal)[seen]
+        return BOLTZMANN * thermal.temperature * float(self.f[seen] @ log_fstar)
 
 
 class UndefinedEfficiencyError(ValueError):
     """Measurement outcome is deterministic: zero erasure work, no efficiency."""
 
 
-def _prefactor_energy(
-    out: Outcome, mu: int, central: bool, log_norm: float, geometry: WellGeometry
-) -> tuple[float, float]:
-    """lw_m = ln(ways) - log_norm and c_m of an outcome leaving mu particles on its lighter side.
-
-    log_norm is ln total_ways for the central outcome, whose symmetric load keeps
-    the wall at L/2 so that f* = f, and ln edge_ways for every other outcome.
-    """
-    log_prefactor = math.log(out.ways) - log_norm
-    if central or not mu:
-        return log_prefactor, 0.0
-    wall = wall_position(out.ratio, geometry)
-    return log_prefactor, mu * level_split(out.level, wall, geometry)
-
-
-def _log_fstar(log_prefactor: float, energy: float, beta: float) -> float:
-    # an outcome whose wall does not move carries no Boltzmann factor
-    return log_prefactor - beta * energy if energy else log_prefactor
-
-
-def outcome_table(filling: Filling, geometry: WellGeometry) -> list[OutcomeRow]:
-    """Rows for every m of the support, ascending.
-
-    Only the lighter half is built; the other half mirrors it (m <-> lo + hi - m),
-    so f is bitwise symmetric and each mirror pair costs one level splitting.
-    """
+def _light_half(filling: Filling) -> tuple[list[Outcome], list[float]]:
+    """Outcomes of the lighter half of the support, ascending, and their f_m."""
     support = filling.support
-    size = len(support)
+    outcomes = [filling.outcome(m) for m in support[: (len(support) + 1) // 2]]
     total = filling.total_ways
-    log_total, log_edge = math.log(total), math.log(filling.edge_ways)
-    light = []
-    for mu, m in enumerate(support[: (size + 1) // 2]):
-        out = filling.outcome(m)
+    return outcomes, [out.ways / total for out in outcomes]
+
+
+def _mirror(light: list[float], size: int) -> np.ndarray:
+    """A lighter-half column extended to all ``size`` outcomes by m <-> lo + hi - m."""
+    return np.array(light + light[: size // 2][::-1])
+
+
+def outcome_table(filling: Filling, geometry: WellGeometry) -> OutcomeTable:
+    """The table of every m of the support, ascending.
+
+    Only the lighter half is built; the other half mirrors it, so every column is
+    bitwise symmetric and each mirror pair costs one level splitting.
+    """
+    size = len(filling.support)
+    log_total, log_edge = math.log(filling.total_ways), math.log(filling.edge_ways)
+    outcomes, f = _light_half(filling)
+    log_f, lw, c = [], [], []
+    for mu, out in enumerate(outcomes):
+        log_ways = math.log(out.ways)
+        log_f.append(log_ways - log_total)
+        # the central outcome's symmetric load keeps the wall at L/2, so f* = f
+        # there; every other outcome is normalized by the edge outcome
         central = 2 * mu == size - 1
-        lw_c = _prefactor_energy(out, mu, central, log_total if central else log_edge, geometry)
-        light.append(OutcomeRow(out.ways / total, math.log(out.ways) - log_total, *lw_c))
-    return light + light[: size // 2][::-1]
+        lw.append(log_ways - (log_total if central else log_edge))
+        if mu and not central:
+            wall = wall_position(out.ratio, geometry)
+            c.append(mu * level_split(out.level, wall, geometry))
+        else:
+            c.append(0.0)
+    columns = (_mirror(column, size) for column in (f, log_f, lw, c))
+    return OutcomeTable(np.array(filling.support, dtype=np.int64), *columns)
 
 
 def measurement_distribution(filling: Filling) -> MeasurementDistribution:
     """Probabilities f_m over the ground-state support; symmetric under the mirror."""
     support = filling.support
-    total = filling.total_ways
-    light = [filling.outcome(m).ways / total for m in support[: (len(support) + 1) // 2]]
     return MeasurementDistribution(
         support=np.array(support, dtype=np.int64),
-        probabilities=np.array(light + light[: len(support) // 2][::-1]),
+        probabilities=_mirror(_light_half(filling)[1], len(support)),
     )
 
 
-def log_post_expansion_weight(
-    filling: Filling, m: int, geometry: WellGeometry, thermal: ThermalPoint
-) -> float:
-    """ln f_m*; log-domain so deep low-T exponents do not underflow.
-
-    Evaluates outcome m alone, in O(1) of the support size.
-    """
-    beta = thermal.beta
-    support = filling.support
-    if m not in support:
-        raise ValueError(f"m={m} is outside the ground-state support {support}")
-    left, right = m - support[0], support[-1] - m
-    central = left == right
-    log_norm = math.log(filling.total_ways if central else filling.edge_ways)
-    lw_c = _prefactor_energy(filling.outcome(m), min(left, right), central, log_norm, geometry)
-    return _log_fstar(*lw_c, beta)
-
-
 def work_coefficients(filling: Filling, geometry: WellGeometry) -> WorkDecomposition:
-    """Slope D and zero-temperature absorbed work W_0 = sum f_m c_m of the affine work law."""
-    rows = outcome_table(filling, geometry)
-    central = rows[len(rows) // 2].f if len(rows) % 2 else 0.0
-    # every non-central outcome has lw - ln f = ln(total_ways / edge_ways), so
-    # D = sum f (lw - ln f) closes to (1 - f_central) ln(total_ways / edge_ways),
-    # which the edge row holds exactly (its lw is 0)
-    edge = rows[0]
-    slope = (1.0 - central) * (edge.log_prefactor - edge.log_f)
-    absorbed = sum(row.f * row.energy for row in rows)
-    return WorkDecomposition(slope=slope, absorbed=absorbed)
+    """Slope D and zero-temperature absorbed work W_0 of the affine work law."""
+    return outcome_table(filling, geometry).work_coefficients()
 
 
 def total_work(filling: Filling, geometry: WellGeometry, thermal: ThermalPoint) -> float:
@@ -155,13 +164,7 @@ def relative_entropy_work(
     filling: Filling, geometry: WellGeometry, thermal: ThermalPoint
 ) -> float:
     """Direct -k_B T sum f_m ln(f_m / f_m*) evaluation, for cross-checking."""
-    beta = thermal.beta
-    acc = sum(
-        row.f * (row.log_f - _log_fstar(row.log_prefactor, row.energy, beta))
-        for row in outcome_table(filling, geometry)
-        if row.f > 0
-    )
-    return -BOLTZMANN * thermal.temperature * acc
+    return outcome_table(filling, geometry).relative_entropy_work(thermal)
 
 
 def erasure_work(distribution: MeasurementDistribution, thermal: ThermalPoint) -> float:
@@ -176,25 +179,20 @@ def erasure_work(distribution: MeasurementDistribution, thermal: ThermalPoint) -
 
 def net_work(filling: Filling, geometry: WellGeometry, thermal: ThermalPoint) -> float:
     """Net cycle work after paying erasure: k_B T sum f_m ln f_m* (always <= 0)."""
-    beta = thermal.beta
-    acc = sum(
-        row.f * _log_fstar(row.log_prefactor, row.energy, beta)
-        for row in outcome_table(filling, geometry)
-        if row.f > 0
-    )
-    return BOLTZMANN * thermal.temperature * acc
+    return outcome_table(filling, geometry).net_work(thermal)
 
 
 def info_work_efficiency(
     filling: Filling, geometry: WellGeometry, thermal: ThermalPoint
 ) -> float:
     """Ratio of extracted work to erasure cost, in (-inf, 1]."""
-    w_eras = erasure_work(measurement_distribution(filling), thermal)
+    table = outcome_table(filling, geometry)
+    w_eras = erasure_work(table.distribution, thermal)
     if w_eras == 0.0:
         raise UndefinedEfficiencyError(
             "deterministic measurement outcome: erasure work is zero"
         )
-    return total_work(filling, geometry, thermal) / w_eras
+    return table.work_coefficients().total_work(thermal) / w_eras
 
 
 def second_highest_efficiency(alpha: float) -> float:

@@ -1,0 +1,37 @@
+"""The benchmark's workloads still run against the package.
+
+``bench/workloads.py`` is imported as it is, and each workload's warm-up items
+go through its own run/check pair, so that a change dropping a name the
+benchmark calls fails here rather than only in a benchmark run.
+"""
+import importlib.util
+import json
+import pathlib
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).parent.parent
+WORKLOADS_PY = ROOT / "bench" / "workloads.py"
+NAMES = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up by name while the class body runs
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    module.load()
+    return module
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_workload_warmup_items_pass_their_checks(workloads, name, tmp_path):
+    workload = workloads.WORKLOADS[name]
+    run, check = workload.bind(str(tmp_path))
+    outcome = workloads.Outcome()
+    for item in workload.warmup():
+        check(item, run(item), outcome)
+    assert outcome.failed_checks == {}

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from spinszilard import boson
+from spinszilard import boson, information
 from spinszilard.boson import BosonFilling
 from spinszilard.core import BOLTZMANN, ThermalPoint, WellGeometry
 
@@ -12,6 +12,12 @@ E0 = GEOM.reference_energy
 
 def thermal_at(kbt_over_e0: float) -> ThermalPoint:
     return ThermalPoint(kbt_over_e0 * E0 / BOLTZMANN)
+
+
+def log_fstar(filling, m: int, thermal: ThermalPoint) -> float:
+    """ln f_m*, read from entry m of the filling's outcome table."""
+    table = information.outcome_table(filling, GEOM)
+    return float(table.log_fstar(thermal)[m - filling.support[0]])
 
 
 def test_filling_validation():
@@ -50,12 +56,12 @@ def test_distribution_normalized_and_symmetric():
 def test_post_expansion_boundaries_and_central():
     t = thermal_at(0.1)
     filling = BosonFilling(N=3, s=1)
-    assert math.exp(boson.log_post_expansion_weight(filling, 0, GEOM, t)) == pytest.approx(1.0)
-    assert math.exp(boson.log_post_expansion_weight(filling, 3, GEOM, t)) == pytest.approx(1.0)
+    assert math.exp(log_fstar(filling, 0, t)) == pytest.approx(1.0)
+    assert math.exp(log_fstar(filling, 3, t)) == pytest.approx(1.0)
     even = BosonFilling(N=2, s=1)
     # central branch C(N/2+2s,2s)^2 / C(N+4s+1,N) = 9/21, temperature-free
-    a = math.exp(boson.log_post_expansion_weight(even, 1, GEOM, thermal_at(0.01)))
-    b = math.exp(boson.log_post_expansion_weight(even, 1, GEOM, thermal_at(1.0)))
+    a = math.exp(log_fstar(even, 1, thermal_at(0.01)))
+    b = math.exp(log_fstar(even, 1, thermal_at(1.0)))
     assert a == b == pytest.approx(9 / 21, rel=1e-14)
 
 
@@ -64,20 +70,13 @@ def test_post_expansion_known_value():
     filling = BosonFilling(N=3, s=1)
     delta_e = 1.0371860388828955e-23  # level-1 splitting at the r^3 = 1/2 wall
     t = ThermalPoint(delta_e / BOLTZMANN)
-    value = math.exp(boson.log_post_expansion_weight(filling, 1, GEOM, t))
+    value = math.exp(log_fstar(filling, 1, t))
     assert value == pytest.approx(1.8 * math.exp(-1.0), rel=1e-9)
     assert value == pytest.approx(0.6621829941085963, rel=1e-9)
 
 
-def test_post_expansion_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        math.exp(boson.log_post_expansion_weight(BosonFilling(N=3, s=1), 4, GEOM, thermal_at(0.1)))
-
-
 def test_log_post_expansion_survives_deep_low_temperature():
-    log_star = boson.log_post_expansion_weight(
-        BosonFilling(N=3, s=1), 1, GEOM, thermal_at(1e-4)
-    )
+    log_star = log_fstar(BosonFilling(N=3, s=1), 1, thermal_at(1e-4))
     assert math.isfinite(log_star)
     assert log_star < -1e3
 

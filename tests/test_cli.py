@@ -592,7 +592,37 @@ def test_config_key_must_be_a_flag_of_the_subcommand(tmp_path, capsys):
     assert (tmp_path / "q.csv.grid.csv").exists()
 
 
-README = pathlib.Path(__file__).parent.parent / "README.md"
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "distribution --species fermion --two-s 3",
+        "distribution --species fermion --two-s 3 --n -1",
+        "distribution --species fermion --two-s 3 --n 3 --temp 0",
+        "oracle --species fermion --two-s 9 --temp 0.1",
+        "oracle --species fermion --two-s 9 --n 3",
+        "oracle --species fermion --two-s 9 --n 3 --temp 0",
+        "efficiency --species fermion --two-s 9 --temp 0.1",
+        "efficiency --species fermion --two-s 9 --n 3",
+        "efficiency --species fermion --two-s 9 --n 3 --temp 0",
+        "work --species fermion --two-s 9 --temp 0.1",
+        "work --species fermion --two-s 9 --n 3",
+        "work --species fermion --two-s 9 --n 3 --n-range 1:3 --temp 0.1",
+        "work --species fermion --two-s 9 --n 3 --temp 0.1 --temp-range 0:1",
+        "limits --species boson --two-s 2",
+        "phase --species boson --two-s 2",
+    ],
+)
+def test_error_message_names_only_flags_of_the_subcommand(argv, capsys):
+    argv = shlex.split(argv)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    declared = {"--" + dest.replace("_", "-") for dest in cli._COMMANDS[argv[0]][1]}
+    named = set(re.findall(r"--[a-z][a-z-]*", err))
+    assert named and named <= declared, err
+
+
+README =pathlib.Path(__file__).parent.parent / "README.md"
 README_INVOCATIONS = [
     shlex.split(line)[1:]
     for line in README.read_text(encoding="utf-8").replace("\\\n", " ").splitlines()

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from spinszilard.combinatorics import binomial, bose_state_count, log_binomial
+from spinszilard.combinatorics import binomial, bose_state_count
 
 
 def test_binomial_edges():
@@ -20,20 +20,6 @@ def test_binomial_edges():
 def test_binomial_matches_math_comb(a, b):
     expected = math.comb(a, b) if 0 <= b <= a else 0
     assert binomial(a, b) == expected
-
-
-@given(st.integers(0, 400))
-def test_log_binomial_agrees_with_exact(a):
-    for b in {0, a // 3, a // 2, a}:
-        exact = math.log(math.comb(a, b))
-        assert log_binomial(a, b) == pytest.approx(exact, abs=1e-9)
-
-
-def test_log_binomial_domain():
-    with pytest.raises(ValueError):
-        log_binomial(3, 4)
-    with pytest.raises(ValueError):
-        log_binomial(3, -1)
 
 
 def test_bose_state_count():

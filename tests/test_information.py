@@ -180,14 +180,30 @@ def exact_boson_distribution(N, s):
     + [exact_boson_distribution(N, s) for N, s in [(0, 2), (1, 0), (6, 1), (11, 4), (40, 7)]],
 )
 def test_outcome_table_matches_exact_fractions(filling, weights):
-    """f_m is the correctly rounded exact ratio, in the table and the distribution."""
+    """f_m is the correctly rounded exact ratio and lw_m its log ratio to the edge (the
+    whole, for the central outcome); lw and c are mirror-symmetric bit for bit."""
     assert list(filling.support) == sorted(weights)
     expected = [float(weights[m]) for m in filling.support]
-    rows = information.outcome_table(filling, GEOM)
-    assert [row.f for row in rows] == expected
+    table = information.outcome_table(filling, GEOM)
+    assert table.support.tolist() == list(filling.support)
+    assert table.f.tolist() == expected
     assert information.measurement_distribution(filling).probabilities.tolist() == expected
-    for row, m in zip(rows, filling.support):
-        assert row.log_f == pytest.approx(math.log(weights[m]), rel=1e-14, abs=1e-14)
+    # the edge outcome (all of the remainder on one side) has edge_ways configurations
+    edge = weights[filling.support[0]]
+    central = filling.support[len(expected) // 2] if len(expected) % 2 else None
+    for i, m in enumerate(filling.support):
+        assert table.log_f[i] == pytest.approx(math.log(weights[m]), rel=1e-14, abs=1e-14)
+        ratio = weights[m] if m == central else weights[m] / edge
+        assert table.lw[i] == pytest.approx(math.log(ratio), rel=1e-14, abs=1e-14)
+    assert np.array_equal(table.lw, table.lw[::-1])
+    assert np.array_equal(table.c, table.c[::-1])
+    # the reductions against correctly rounded sums of the same terms
+    t = thermal_at(0.1)
+    w0 = math.fsum(f * c for f, c in zip(expected, table.c))
+    assert table.work_coefficients().absorbed == pytest.approx(w0, rel=1e-14, abs=0.0)
+    log_fstar = table.log_fstar(t)
+    w_net = BOLTZMANN * t.temperature * math.fsum(f * x for f, x in zip(expected, log_fstar))
+    assert table.net_work(t) == pytest.approx(w_net, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -199,9 +215,9 @@ def test_outcome_table_at_large_spin(filling):
     probs = information.measurement_distribution(filling).probabilities
     assert abs(probs.sum() - 1.0) <= 1e-12
     assert np.array_equal(probs, probs[::-1])
-    rows = information.outcome_table(filling, GEOM)
-    assert [row.f for row in rows] == probs.tolist()
-    log_fstar = [row.log_prefactor - t.beta * row.energy for row in rows]
+    table = information.outcome_table(filling, GEOM)
+    assert table.f.tolist() == probs.tolist()
+    log_fstar = table.log_fstar(t)
     assert all(math.isfinite(x) for x in log_fstar)
     for m in (filling.support[0], filling.support[len(probs) // 3], filling.support[-1]):
-        assert math.isfinite(information.log_post_expansion_weight(filling, m, GEOM, t))
+        assert math.isfinite(log_fstar[m - filling.support[0]])
