@@ -38,14 +38,6 @@ class BosonFilling:
     def support(self) -> range:
         return range(0, self.N + 1)
 
-    @property
-    def total_ways(self) -> int:
-        return binomial(self.N + 4 * self.s + 1, 4 * self.s + 1)
-
-    @property
-    def edge_ways(self) -> int:
-        return binomial(self.N + 2 * self.s, self.N)
-
     def outcome(self, m: int) -> Outcome:
         """m bosons in the 2s+1 left and N-m in the 2s+1 right ground-level modes."""
         s2 = 2 * self.s

@@ -121,8 +121,9 @@ def _parse_range(text: str, cast: Callable[[str], Any]) -> list:
         # a STEP below the float spacing near B leaves x in place
         if len(values) == MAX_RANGE_VALUES:
             raise too_many
-        values.append(round(x, 12) if abs(x) < 1e6 else x)
-        x += step
+        # 12 significant digits drop the float error of i * STEP at any scale
+        values.append(float(f"{x:.12g}"))
+        x = lo + len(values) * step
     return values
 
 
@@ -409,7 +410,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     cycle = oracle.ensemble_cycle(N, spin, geometry, thermal, insertion=insertion_frac * L)
     filling = phase.filling(spin, N)
     table = information.outcome_table(filling, geometry)
-    analytic_dist = table.distribution
     analytic_work = table.work_coefficients().total_work(thermal)
 
     rows = []
@@ -417,10 +417,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     max_dl = 0.0
     for m in range(N + 1):
         f_exact = float(cycle.distribution.probabilities[m])
-        f_analytic = analytic_dist.probability(m)
+        f_analytic = 0.0
         leq_exact = cycle.equilibria[m].position / L
         leq_analytic: float | None = None
         if m in filling.support:
+            f_analytic = float(table.f[m - filling.support[0]])
             leq_analytic = wall_position(filling.outcome(m).ratio, geometry).position / L
         delta_f = abs(f_exact - f_analytic)
         max_df = max(max_df, delta_f)

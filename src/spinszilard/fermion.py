@@ -8,7 +8,6 @@ it counts the unoccupied states (holes) instead, which gives the same counts.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -24,11 +23,6 @@ from .information import (  # noqa: F401  (re-exported species-agnostic path)
 )
 
 
-class FillingCase(enum.Enum):
-    PARTICLE = "particle"
-    HOLE = "hole"
-
-
 @dataclass(frozen=True)
 class FermionFilling:
     """Decomposition N = 4 u n + k with 0 <= k < 4u."""
@@ -39,22 +33,10 @@ class FermionFilling:
     k: int
 
     @property
-    def case(self) -> FillingCase:
-        return FillingCase.PARTICLE if self.k < 2 * self.u else FillingCase.HOLE
-
-    @property
     def support(self) -> range:
         """m = 2un + p for every count p of remainder particles the left half can hold."""
         base = 2 * self.u * self.n
         return range(base + max(0, self.k - 2 * self.u), base + min(self.k, 2 * self.u) + 1)
-
-    @property
-    def total_ways(self) -> int:
-        return binomial(4 * self.u, self.k)
-
-    @property
-    def edge_ways(self) -> int:
-        return binomial(2 * self.u, min(self.k, 4 * self.u - self.k))
 
     def outcome(self, m: int) -> Outcome:
         """Outcome m leaves p = m - 2un of the remainder particles on the left."""

@@ -1,11 +1,13 @@
 """The closed-form observables, one path for both species.
 
-A species' filling type only counts the configurations of its remainder:
-over all outcomes (``total_ways``), with all of it on one side
-(``edge_ways``) and, through its row builder ``outcome(m)``, for outcome m.
-``outcome_table`` turns the counts into one ``OutcomeTable`` of numpy columns
+A species' filling type is its support and its row builder ``outcome(m)``,
+which counts the configurations of the remainder that give outcome m.
+``outcome_table`` builds the lighter half of the support and mirrors it
+(m <-> lo + hi - m): the total count is twice the lighter half's less the
+central outcome, and the edge count (all of the remainder on one side) is the
+first row's. It turns the counts into one ``OutcomeTable`` of numpy columns
 over the support: f_m, ln f_m, and lw_m and c_m of ln f_m* = lw_m - beta c_m,
-with lw_m = ln(ways/edge_ways) and c_m = mu_m dE_m (mu_m remainder particles
+with lw_m = ln(ways/edge ways) and c_m = mu_m dE_m (mu_m remainder particles
 on the lighter side, dE_m the level splitting at the wall). Every observable
 is a reduction over that table, for both species.
 
@@ -39,16 +41,10 @@ class Outcome(NamedTuple):
 
 
 class Filling(Protocol):
-    """A species' filling type: its outcomes, ascending, their counts and its row builder."""
+    """A species' filling type: its outcomes, ascending, and its row builder."""
 
     @property
     def support(self) -> range: ...
-
-    @property
-    def total_ways(self) -> int: ...
-
-    @property
-    def edge_ways(self) -> int: ...
 
     def outcome(self, m: int) -> Outcome: ...
 
@@ -79,8 +75,8 @@ class OutcomeTable(NamedTuple):
     def work_coefficients(self) -> WorkDecomposition:
         """Slope D and zero-temperature absorbed work W_0 = sum f_m c_m of the affine work law."""
         central = self.f[len(self.f) // 2] if len(self.f) % 2 else 0.0
-        # every non-central outcome has lw - ln f = ln(total_ways / edge_ways), so
-        # D = sum f (lw - ln f) closes to (1 - f_central) ln(total_ways / edge_ways),
+        # every non-central outcome has lw - ln f = ln(total ways / edge ways), so
+        # D = sum f (lw - ln f) closes to (1 - f_central) ln(total ways / edge ways),
         # which the edge outcome holds exactly (its lw is 0)
         slope = (1.0 - central) * (self.lw[0] - self.log_f[0])
         return WorkDecomposition(slope=float(slope), absorbed=float(self.f @ self.c))
@@ -102,12 +98,18 @@ class UndefinedEfficiencyError(ValueError):
     """Measurement outcome is deterministic: zero erasure work, no efficiency."""
 
 
-def _light_half(filling: Filling) -> tuple[list[Outcome], list[float]]:
-    """Outcomes of the lighter half of the support, ascending, and their f_m."""
+def _light_half(filling: Filling) -> tuple[list[Outcome], int]:
+    """Outcomes of the lighter half of the support, ascending, and the ways of all outcomes.
+
+    The counts are mirror-symmetric, so the total is twice the lighter half's,
+    less the central outcome's once (Vandermonde's identity, as an exact integer).
+    """
     support = filling.support
     outcomes = [filling.outcome(m) for m in support[: (len(support) + 1) // 2]]
-    total = filling.total_ways
-    return outcomes, [out.ways / total for out in outcomes]
+    total = 2 * sum(out.ways for out in outcomes)
+    if len(support) % 2:
+        total -= outcomes[-1].ways
+    return outcomes, total
 
 
 def _mirror(light: list[float], size: int) -> np.ndarray:
@@ -122,10 +124,11 @@ def outcome_table(filling: Filling, geometry: WellGeometry) -> OutcomeTable:
     bitwise symmetric and each mirror pair costs one level splitting.
     """
     size = len(filling.support)
-    log_total, log_edge = math.log(filling.total_ways), math.log(filling.edge_ways)
-    outcomes, f = _light_half(filling)
-    log_f, lw, c = [], [], []
+    outcomes, total = _light_half(filling)
+    log_total, log_edge = math.log(total), math.log(outcomes[0].ways)
+    f, log_f, lw, c = [], [], [], []
     for mu, out in enumerate(outcomes):
+        f.append(out.ways / total)
         log_ways = math.log(out.ways)
         log_f.append(log_ways - log_total)
         # the central outcome's symmetric load keeps the wall at L/2, so f* = f
@@ -144,9 +147,10 @@ def outcome_table(filling: Filling, geometry: WellGeometry) -> OutcomeTable:
 def measurement_distribution(filling: Filling) -> MeasurementDistribution:
     """Probabilities f_m over the ground-state support; symmetric under the mirror."""
     support = filling.support
+    outcomes, total = _light_half(filling)
     return MeasurementDistribution(
         support=np.array(support, dtype=np.int64),
-        probabilities=_mirror(_light_half(filling)[1], len(support)),
+        probabilities=_mirror([out.ways / total for out in outcomes], len(support)),
     )
 
 

@@ -4,7 +4,9 @@ Independent of every closed form in this package: partition functions are
 built by dynamic programming over well levels with degenerate occupancies,
 equilibrium wall positions by direct free-energy maximization. Each box's DP
 runs until a level changes nothing, and its one pass gives ln Z for every
-particle count. Used to validate the low-temperature analytics.
+particle count. Only the lighter half of the outcomes is searched: m on the
+left is N - m on the right, so their walls and f* mirror each other. Used to
+validate the low-temperature analytics.
 """
 from __future__ import annotations
 
@@ -128,41 +130,44 @@ def exact_distribution(
 def exact_equilibria(
     N: int, spin: SpinStatistics, geometry: WellGeometry, thermal: ThermalPoint
 ) -> tuple[WallPosition, ...]:
-    """Wall positions maximizing ln Z_m for m = 0..N: one coarse scan of the ln Z
-    vector serves every m, then a golden-section refinement of each interior m."""
+    """Wall positions maximizing ln Z_m for m = 0..N.
+
+    Each lighter-half outcome 0 < m < N/2 gets one golden-section maximization
+    on (0, L/2), where its one maximum lies. The rest mirror them: m on the left
+    is N - m on the right, so l_{N-m} = L - l_m, and an even N's central wall
+    sits at L/2.
+    """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     L = geometry.length
 
-    def ln_z(pos: float) -> np.ndarray:
-        return split_partition(N, pos, spin, geometry, thermal)
+    def ln_z(pos: float, m: int) -> float:
+        return split_partition(N, pos, spin, geometry, thermal)[m]
 
-    grid = np.linspace(0.0, L, 66)[1:-1]
-    # below N = 2 there is no interior m to scan for
-    scan = np.array([ln_z(float(pos)) for pos in grid]) if N > 1 else None
-    walls = [WallPosition(ratio=0.0, position=0.0)]
-    for m in range(1, N):
-        best = int(np.argmax(scan[:, m]))
-        # golden-section maximization of ln Z_m on the bracket around the best grid point
-        a = float(grid[max(best - 1, 0)])
-        b = float(grid[min(best + 1, len(grid) - 1)])
+    lighter = [0.0]
+    for m in range(1, (N + 1) // 2):
+        a, b = 0.0, 0.5 * L
         x1 = b - _INV_PHI * (b - a)
         x2 = a + _INV_PHI * (b - a)
-        f1, f2 = ln_z(x1)[m], ln_z(x2)[m]
+        f1, f2 = ln_z(x1, m), ln_z(x2, m)
         while b - a > POSITION_TOLERANCE * L:
             if f1 < f2:
                 a, x1, f1 = x1, x2, f2
                 x2 = a + _INV_PHI * (b - a)
-                f2 = ln_z(x2)[m]
+                f2 = ln_z(x2, m)
             else:
                 b, x2, f2 = x2, x1, f1
                 x1 = b - _INV_PHI * (b - a)
-                f1 = ln_z(x1)[m]
-        position = 0.5 * (a + b)
-        walls.append(WallPosition(ratio=position / (L - position), position=position))
-    if N > 0:
-        walls.append(WallPosition(ratio=math.inf, position=L))
-    return tuple(walls)
+                f1 = ln_z(x1, m)
+        lighter.append(0.5 * (a + b))
+    central = [0.5 * L] if N % 2 == 0 else []
+    heavier = [L - pos for pos in reversed(lighter)]
+    # an empty well has only its wall at 0
+    positions = lighter + central + heavier if N else lighter
+    return tuple(
+        WallPosition(ratio=pos / (L - pos) if pos < L else math.inf, position=pos)
+        for pos in positions
+    )
 
 
 @dataclass(frozen=True)
@@ -194,10 +199,10 @@ def ensemble_cycle(
     equilibria = exact_equilibria(N, spin, geometry, thermal)
     # ln f*_m, kept in logs: at low T, f*_m underflows where ln f*_m does not
     log_fstar = np.zeros(N + 1)  # at a boundary Z_m is the only surviving term
-    for m, wall in enumerate(equilibria):
-        if not wall.at_boundary:
-            log_zn = split_partition(N, wall.position, spin, geometry, thermal)
-            log_fstar[m] = log_zn[m] - np.logaddexp.reduce(log_zn)
+    for m in range(1, N // 2 + 1):
+        # the mirrored wall of N - m sees this ln Z vector reversed: f*_{N-m} = f*_m
+        log_zn = split_partition(N, equilibria[m].position, spin, geometry, thermal)
+        log_fstar[m] = log_fstar[N - m] = log_zn[m] - np.logaddexp.reduce(log_zn)
     acc = 0.0
     for m in range(N + 1):
         f = float(dist.probabilities[m])

@@ -556,6 +556,23 @@ def test_range_size_cap_boundary(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "temp_range,temps",
+    [
+        ("1e-13:3e-13:1e-13", [1e-13, 2e-13, 3e-13]),
+        ("1.234567e-9:1.234567e-9", [1.234567e-9]),
+    ],
+)
+def test_tiny_temperature_range_keeps_its_values(temp_range, temps, capsys):
+    """Range values keep 12 significant digits at any scale: none collapses to 0."""
+    argv = f"work --species fermion --two-s 1 --n 2 --format csv --temp-range {temp_range}"
+    assert exit_code(argv) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert [float(row["T_kelvin"]) for row in rows] == pytest.approx(temps, rel=1e-8, abs=0)
+    assert all(row["Wtot_per_kBT"] != "undefined" for row in rows)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         "phase --species fermion --two-s 9 --n-range 1:3 --temp 0.1 --out p.csv",

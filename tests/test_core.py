@@ -1,8 +1,11 @@
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
+import spinszilard
 from spinszilard.core import (
     BOLTZMANN,
     MeasurementDistribution,
@@ -103,3 +106,12 @@ def test_work_decomposition_affine():
     assert wd.total_work(ThermalPoint(0.0)) == -1e-24
     t = ThermalPoint(1.0)
     assert wd.total_work(t) == pytest.approx(math.log(2) * BOLTZMANN - 1e-24)
+
+
+def test_version_matches_pyproject():
+    """``__version__`` equals the version under [project] in pyproject.toml."""
+    text = (pathlib.Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    # a regex, not tomllib: Python 3.10 is supported and has no tomllib
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    version = re.search(r'^version\s*=\s*"([^"]+)"', project, re.M).group(1)
+    assert spinszilard.__version__ == version

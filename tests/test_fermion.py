@@ -4,7 +4,7 @@ import pytest
 
 from spinszilard import fermion, information
 from spinszilard.core import BOLTZMANN, ThermalPoint, WellGeometry
-from spinszilard.fermion import FermionFilling, FillingCase, decompose
+from spinszilard.fermion import FermionFilling, decompose
 
 GEOM = WellGeometry(length=1e-9, mass=1e-26)
 E0 = GEOM.reference_energy
@@ -23,10 +23,8 @@ def log_fstar(filling, m: int, thermal: ThermalPoint) -> float:
 def test_decompose():
     f = decompose(23, 5)
     assert (f.n, f.k) == (1, 3)
-    assert f.case is FillingCase.PARTICLE
     g = decompose(37, 5)
     assert (g.n, g.k) == (1, 17)
-    assert g.case is FillingCase.HOLE
     with pytest.raises(ValueError):
         decompose(-1, 5)
     with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from spinszilard.core import (
     ThermalPoint,
     WellGeometry,
 )
-from spinszilard.fermion import FillingCase, decompose
+from spinszilard.fermion import decompose
 
 GEOM = WellGeometry(length=1e-9, mass=1e-26)
 E0 = GEOM.reference_energy
@@ -148,11 +148,12 @@ def test_extremal_report_boson():
 def exact_fermion_distribution(N, u):
     """f_m as Fractions: p particles (or holes) of the remainder on the left."""
     filling = decompose(N, u)
-    kk = filling.k if filling.case is FillingCase.PARTICLE else 4 * u - filling.k
+    particles = filling.k < 2 * u  # else count the holes of the partly filled level
+    kk = filling.k if particles else 4 * u - filling.k
     total = math.comb(4 * u, kk)
     weights = {}
     for idx in range(kk + 1):
-        if filling.case is FillingCase.PARTICLE:
+        if particles:
             m = 2 * u * filling.n + idx
         else:
             m = 2 * u * (filling.n + 1) - idx
@@ -188,7 +189,7 @@ def test_outcome_table_matches_exact_fractions(filling, weights):
     assert table.support.tolist() == list(filling.support)
     assert table.f.tolist() == expected
     assert information.measurement_distribution(filling).probabilities.tolist() == expected
-    # the edge outcome (all of the remainder on one side) has edge_ways configurations
+    # the edge outcome holds all of the remainder on one side
     edge = weights[filling.support[0]]
     central = filling.support[len(expected) // 2] if len(expected) % 2 else None
     for i, m in enumerate(filling.support):

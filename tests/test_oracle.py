@@ -205,23 +205,23 @@ def test_split_partition_validation():
 @pytest.mark.parametrize(
     "spin,N,kbt,insertion,work,walls",
     [
-        (SpinStatistics.fermion(3), 4, 0.1, 0.5, "-0x1.00c856fb58992p-77",
-         ["0x0.0p+0", "0x1.c2345686d6a4ep-32", "0x1.12e0be6073eb6p-31",
-          "0x1.44a7517eabb34p-31", "0x1.12e0be826d695p-30"]),
-        (SpinStatistics.boson(2), 5, 0.5, 0.5, "-0x1.1353fcdb97d65p-77",
-         ["0x0.0p+0", "0x1.a8f2c19341d6cp-32", "0x1.00549fc4d3b88p-31",
-          "0x1.256cdd1182d88p-31", "0x1.51481c38bee85p-31", "0x1.12e0be826d695p-30"]),
+        (SpinStatistics.fermion(3), 4, 0.1, 0.5, "-0x1.00c857ce8a402p-77",
+         ["0x0.0p+0", "0x1.c234568c03164p-32", "0x1.12e0be826d695p-31",
+          "0x1.44a751bed9478p-31", "0x1.12e0be826d695p-30"]),
+        (SpinStatistics.boson(2), 5, 0.5, 0.5, "-0x1.1353febce9ef3p-77",
+         ["0x0.0p+0", "0x1.a8f2c145440c4p-32", "0x1.00549fc5359aep-31",
+          "0x1.256cdd3fa537cp-31", "0x1.51481c6238cc8p-31", "0x1.12e0be826d695p-30"]),
         (SpinStatistics.fermion(1), 3, 0.1, 0.3, "0x1.c0a2bdd6b53e1p-119",
-         ["0x0.0p+0", "0x1.e686cd0434bcap-32", "0x1.327e1698d3662p-31", "0x1.12e0be826d695p-30"]),
-        (SpinStatistics.boson(0), 6, 0.02, 0.5, "-0x1.01aa5d8482524p-76",
-         ["0x0.0p+0", "0x1.95ba3a31386a2p-32", "0x1.e686cd039ed5ap-32",
-          "0x1.12e0be6073eb6p-31", "0x1.327e1677c54bep-31", "0x1.5ae45fd8c34b9p-31",
+         ["0x0.0p+0", "0x1.e686ccea30263p-32", "0x1.327e168fc2bf8p-31", "0x1.12e0be826d695p-30"]),
+        (SpinStatistics.boson(0), 6, 0.02, 0.5, "-0x1.01aa5df8a23aap-76",
+         ["0x0.0p+0", "0x1.95ba3a2787f98p-32", "0x1.e686cce639d13p-32",
+          "0x1.12e0be826d695p-31", "0x1.327e1691bdea0p-31", "0x1.5ae45ff116d5ep-31",
           "0x1.12e0be826d695p-30"]),
     ],
     ids=["f3-N4", "b2-N5", "f1-N3-ins0.3", "b0-N6"],
 )
 def test_ensemble_cycle_pinned_bits(spin, N, kbt, insertion, work, walls):
-    """W and every wall position, bit for bit as the per-outcome wall search gave them."""
+    """W and every wall position, bit for bit as the lighter-half wall search gives them."""
     cycle = oracle.ensemble_cycle(N, spin, GEOM, thermal_at(kbt), insertion=insertion * L)
     assert float(cycle.total_work).hex() == work
     assert [float(wall.position).hex() for wall in cycle.equilibria] == walls
@@ -230,8 +230,26 @@ def test_ensemble_cycle_pinned_bits(spin, N, kbt, insertion, work, walls):
 @pytest.mark.parametrize("N", range(2, 7))
 @pytest.mark.parametrize("spin", [SpinStatistics.fermion(3), SpinStatistics.boson(2)], ids=["f3", "b2"])
 def test_exact_equilibria_mirror(spin, N):
-    """m on the left is N - m on the right: mirrored walls sum to L."""
+    """m on the left is N - m on the right: l_{N-m} = L - l_m bit for bit, and an
+    even N's central wall is exactly L/2."""
     walls = oracle.exact_equilibria(N, spin, GEOM, thermal_at(0.5))
     assert len(walls) == N + 1
-    for m in range(N + 1):
-        assert abs(walls[m].position + walls[N - m].position - L) <= 1e-7 * L
+    for m in range(N // 2 + 1):
+        assert walls[N - m].position == L - walls[m].position
+    if N % 2 == 0:
+        assert walls[N // 2].position == 0.5 * L
+
+
+@pytest.mark.parametrize("kbt", [0.02, 2.0, 30.0])
+@pytest.mark.parametrize("spin", [SpinStatistics.fermion(3), SpinStatistics.boson(2)], ids=["f3", "b2"])
+def test_lighter_half_walls_sit_at_the_scan_maximum(spin, kbt):
+    """ln Z_m over the whole well has one maximum, below L/2 for m < N/2: the search
+    on (0, L/2) lands within one step of a dense scan's best point."""
+    thermal = thermal_at(kbt)
+    grid = np.linspace(0.0, L, 202)[1:-1]
+    for N in range(2, 7):
+        scan = np.array([oracle.split_partition(N, pos, spin, GEOM, thermal) for pos in grid])
+        walls = oracle.exact_equilibria(N, spin, GEOM, thermal)
+        for m in range(1, (N + 1) // 2):
+            best = grid[np.argmax(scan[:, m])]
+            assert abs(walls[m].position - best) <= grid[1] - grid[0]
