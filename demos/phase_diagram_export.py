@@ -13,11 +13,13 @@ from spinszilard.core import SpinStatistics, WellGeometry
 
 geometry = WellGeometry(length=1e-9, mass=1e-26)
 n_values = list(range(1, 61))
+# one curve, its work coefficients per N, serves both the T_c file and the grid
+fermion_curve = phase.phase_curve(SpinStatistics.fermion(9), geometry, n_values)
 
 with open("phase_fermion_u5.csv", "w", newline="") as handle:
     writer = csv.writer(handle)
     writer.writerow(["N", "T_c_kelvin"])
-    for point in phase.phase_curve(SpinStatistics.fermion(9), geometry, n_values):
+    for point in fermion_curve:
         writer.writerow([point.N, point.critical_temperature if point.defined else ""])
 
 with open("phase_boson.csv", "w", newline="") as handle:
@@ -31,7 +33,7 @@ with open("phase_boson.csv", "w", newline="") as handle:
             )
 
 temperatures = np.linspace(0.0, 1.0, 101)
-grid = phase.work_grid(SpinStatistics.fermion(9), geometry, n_values, temperatures)
+grid = phase.work_grid(fermion_curve, temperatures)
 with open("work_grid_u5.csv", "w", newline="") as handle:
     writer = csv.writer(handle)
     writer.writerow(["N", "T_kelvin", "W_tot_joule"])

@@ -131,6 +131,7 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     """Fill unset flags from the ``key = value`` lines of --config; explicit flags win.
 
     A key must be one of the subcommand's flags, and its value is read as that flag's.
+    A flag also beats the file's other form of it (--n an ``n_range`` line, say).
     """
     if args.config is None:
         return
@@ -148,20 +149,22 @@ def _apply_config_file(args: argparse.Namespace) -> None:
             raise ConfigError(f"bad config line {line!r}: expected KEY = VALUE, KEY one of "
                               f"{sorted(keys)}")
         file_values[key] = value.strip()
+    given = {key.removesuffix("_range") for key in keys if getattr(args, key) is not None}
     for key, raw in file_values.items():
-        if getattr(args, key) is None:
-            spec = _FLAGS[key]
-            try:
-                value = spec.get("type", str)(raw)
-                if value not in spec.get("choices", [value]):
-                    raise ValueError(f"not one of {spec['choices']}")
-            except ValueError as exc:
-                raise ConfigError(f"bad value for config key {key!r}: {raw!r}") from exc
-            setattr(args, key, value)
+        if key.removesuffix("_range") in given:
+            continue
+        spec = _FLAGS[key]
+        try:
+            value = spec.get("type", str)(raw)
+            if value not in spec.get("choices", [value]):
+                raise ValueError(f"not one of {spec['choices']}")
+        except ValueError as exc:
+            raise ConfigError(f"bad value for config key {key!r}: {raw!r}") from exc
+        setattr(args, key, value)
 
 
 def _spin(species: str | None, two_s: str | None) -> SpinStatistics:
-    if species is None or not two_s:
+    if species is None or two_s is None:
         raise ConfigError("--species and --two-s are required")
     try:
         return SpinStatistics(twice_spin=int(two_s), kind=ParticleKind(species))
@@ -267,16 +270,16 @@ def cmd_work(args: argparse.Namespace) -> int:
     e0 = geometry.reference_energy
     fermion_fill = spin.kind is ParticleKind.FERMION
     rows = []
-    for N in n_values:
-        filling = phase.filling(spin, N)
-        coeffs = information.work_coefficients(filling, geometry)
-        tc = _fmt(phase.critical_temperature(coeffs)) if coeffs.slope > 0 else UNDEFINED
+    for point in phase.phase_curve(spin, geometry, n_values):
+        coeffs = point.coefficients
+        filling = phase.filling(spin, point.N)
+        tc = _fmt(point.critical_temperature) if point.defined else UNDEFINED
         for T in t_values:
             w_tot = coeffs.total_work(ThermalPoint(T))
             rows.append({
                 "species": spin.kind.value,
                 "two_s": spin.twice_spin,
-                "N": N,
+                "N": point.N,
                 "n": str(filling.n) if fermion_fill else "",
                 "k": str(filling.k) if fermion_fill else "",
                 "D": _fmt(coeffs.slope),
@@ -329,7 +332,8 @@ def cmd_distribution(args: argparse.Namespace) -> int:
 
 def cmd_phase(args: argparse.Namespace) -> int:
     geometry = _geometry(args)
-    spins = [_spin(args.species, token) for token in (args.two_s or "").split(",")]
+    tokens = [None] if args.two_s is None else args.two_s.split(",")
+    spins = [_spin(args.species, token) for token in tokens]
     if args.n_range is None:
         raise ConfigError("phase requires --n-range")
     n_values = _parse_range(args.n_range, int)
@@ -337,23 +341,26 @@ def cmd_phase(args: argparse.Namespace) -> int:
     if t_values and not args.out:
         raise ConfigError("the work grid needs --out (written to OUT.grid.csv)")
     lead = ["two_s"] if len(spins) > 1 else []
-    rows = []
-    for spin in spins:
-        for point in phase.phase_curve(spin, geometry, n_values):
-            if args.strict and not point.defined:
-                raise StrictUndefinedError()
-            cell = point.critical_temperature if point.defined else UNDEFINED
-            rows.append([spin.twice_spin] * len(lead) + [point.N, cell, str(point.defined).lower()])
+    # one curve per spin serves both the T_c table and the work grid
+    curves = [(spin, phase.phase_curve(spin, geometry, n_values)) for spin in spins]
+    if args.strict and not all(point.defined for _, points in curves for point in points):
+        raise StrictUndefinedError()
+    rows = (
+        [spin.twice_spin] * len(lead)
+        + [point.N, point.critical_temperature if point.defined else UNDEFINED,
+           str(point.defined).lower()]
+        for spin, points in curves
+        for point in points
+    )
     _emit(_csv_text(lead + ["N", "T_c_kelvin", "defined"], rows), args.out)
     if t_values:
-        grid_rows = []
-        for spin in spins:
-            grid = phase.work_grid(spin, geometry, n_values, t_values)
-            for i, N in enumerate(grid.n_values):
-                for j, T in enumerate(grid.temperatures):
-                    w = float(grid.work[i, j])
-                    sign = (w > 0) - (w < 0)
-                    grid_rows.append([spin.twice_spin] * len(lead) + [int(N), float(T), w, sign])
+        grids = [(spin, phase.work_grid(points, t_values)) for spin, points in curves]
+        grid_rows = (
+            [spin.twice_spin] * len(lead) + [N, T, w, (w > 0) - (w < 0)]
+            for spin, grid in grids
+            for N, works in zip(grid.n_values.tolist(), grid.work.tolist())
+            for T, w in zip(grid.temperatures.tolist(), works)
+        )
         _emit(_csv_text(lead + ["N", "T", "W_tot_joule", "sign"], grid_rows), args.out + ".grid.csv")
     return EXIT_OK
 
@@ -365,14 +372,10 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
     thermal = _thermal(args)
     rows = []
     for N in n_values:
-        filling = phase.filling(spin, N)
-        if spin.kind is ParticleKind.FERMION:
-            second = filling.k in (2, 4 * spin.u - 2)
-            alpha = (2.0 * spin.u - 1.0) / (4.0 * spin.u - 1.0)
-        else:
-            second = N == 2
-            alpha = (2.0 * spin.s + 2.0) / (4.0 * spin.s + 3.0)
-        table = information.outcome_table(filling, geometry)
+        table = information.outcome_table(phase.filling(spin, N), geometry)
+        # the runner-up engines have three outcomes: alpha = 1 - f_central = 2 f_edge
+        second = len(table.f) == 3
+        alpha = 2.0 * float(table.f[0])
         w_tot = table.work_coefficients().total_work(thermal)
         w_eras = information.erasure_work(table.distribution, thermal)
         w_net = table.net_work(thermal)
@@ -401,13 +404,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if spin.degeneracy > 12:
         raise ConfigError("oracle is restricted to degeneracy 2s+1 <= 12")
     thermal = _thermal(args)
-    insertion_frac = args.insertion if args.insertion is not None else 0.5
-    if not 0 < insertion_frac < 1:
-        raise ConfigError("--insertion must lie in (0, 1)")
     tolerance = args.tolerance if args.tolerance is not None else 1e-3
     L = geometry.length
 
-    cycle = oracle.ensemble_cycle(N, spin, geometry, thermal, insertion=insertion_frac * L)
+    cycle = oracle.ensemble_cycle(N, spin, geometry, thermal)
     filling = phase.filling(spin, N)
     table = information.outcome_table(filling, geometry)
     analytic_work = table.work_coefficients().total_work(thermal)
@@ -444,7 +444,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "two_s": spin.twice_spin,
         "N": N,
         "T_kelvin": thermal.temperature,
-        "insertion_over_L": insertion_frac,
+        # the closed forms, and so the oracle's cycle, insert the wall at L/2
+        "insertion_over_L": 0.5,
         "tolerance": tolerance,
         "rows": rows,
         "W_exact_joule": cycle.total_work,
@@ -504,7 +505,6 @@ _FLAGS: dict[str, dict[str, Any]] = {
     "temp_range": {},
     "length": {"type": _finite},
     "mass": {"type": _finite},
-    "insertion": {"type": _finite},
     "tolerance": {"type": _finite},
     "format": {"choices": ["csv", "json"]},
     "out": {},
@@ -521,7 +521,7 @@ _COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], tuple[str, ...]]
     "distribution": (cmd_distribution, _COMMON + ("n", "temp") + _OUTPUT),
     "phase": (cmd_phase, _COMMON + ("n_range", "temp_range", "strict")),
     "efficiency": (cmd_efficiency, _COMMON + ("n", "n_range", "temp") + _OUTPUT),
-    "oracle": (cmd_oracle, _COMMON + ("n", "temp", "insertion", "tolerance", "format")),
+    "oracle": (cmd_oracle, _COMMON + ("n", "temp", "tolerance", "format")),
     "limits": (cmd_limits, _COMMON + ("n", "n_range")),
 }
 

@@ -137,17 +137,14 @@ class MeasurementDistribution:
         if len(self.support) != len(self.probabilities):
             raise ValueError("support and probabilities must have equal length")
 
-    def probability(self, m: int) -> float:
-        idx = np.nonzero(self.support == m)[0]
-        return float(self.probabilities[idx[0]]) if idx.size else 0.0
-
     def total(self) -> float:
         return float(np.sum(self.probabilities))
 
     def entropy(self) -> float:
         """Shannon entropy in nats; zero-probability entries contribute 0."""
         p = self.probabilities[self.probabilities > 0]
-        return float(-np.sum(p * np.log(p)))
+        # 0.0 - x is -x for every x but a one-point distribution's 0.0, which stays +0.0
+        return float(0.0 - np.sum(p * np.log(p)))
 
 
 @dataclass(frozen=True)

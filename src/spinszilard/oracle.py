@@ -172,10 +172,9 @@ def exact_equilibria(
 
 @dataclass(frozen=True)
 class OracleCycle:
-    """Exact per-cycle quantities at one temperature and insertion position."""
+    """Exact per-cycle quantities at one temperature, the wall inserted at L/2."""
 
     N: int
-    insertion: float
     distribution: MeasurementDistribution
     equilibria: tuple[WallPosition, ...]
     post_expansion: np.ndarray
@@ -187,15 +186,12 @@ def ensemble_cycle(
     spin: SpinStatistics,
     geometry: WellGeometry,
     thermal: ThermalPoint,
-    insertion: float | None = None,
 ) -> OracleCycle:
-    """Run the full exact cycle: measure, move each wall to equilibrium, total work."""
-    L = geometry.length
-    if insertion is None:
-        insertion = 0.5 * L
-    if not 0 < insertion < L:
-        raise ValueError("insertion must lie strictly inside the well")
-    dist = exact_distribution(N, insertion, spin, geometry, thermal)
+    """Run the full exact cycle: measure, move each wall to equilibrium, total work.
+
+    The wall goes in at L/2, where the closed forms insert it.
+    """
+    dist = exact_distribution(N, 0.5 * geometry.length, spin, geometry, thermal)
     equilibria = exact_equilibria(N, spin, geometry, thermal)
     # ln f*_m, kept in logs: at low T, f*_m underflows where ln f*_m does not
     log_fstar = np.zeros(N + 1)  # at a boundary Z_m is the only surviving term
@@ -211,7 +207,6 @@ def ensemble_cycle(
     work = -BOLTZMANN * thermal.temperature * acc
     return OracleCycle(
         N=N,
-        insertion=insertion,
         distribution=dist,
         equilibria=equilibria,
         post_expansion=np.exp(log_fstar),

@@ -5,6 +5,9 @@ total work at T_c = W_0 / (D k_B). Configurations with D = 0 (fermion
 k = 0, boson N = 0) have no transition; they are carried as explicit
 ``None`` markers, never NaN, so file consumers can tell "no transition"
 from numeric failure.
+
+``phase_curve`` keeps one outcome table's work coefficients per N; T_c and
+the (N, T) work grid both reduce those points, and build no table again.
 """
 from __future__ import annotations
 
@@ -30,14 +33,22 @@ class UndefinedQuantityError(ValueError):
     """A requested quantity has no definition for this configuration."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhasePoint:
+    """One particle number's work coefficients, and the transition they imply."""
+
     N: int
-    critical_temperature: float | None
+    coefficients: WorkDecomposition
 
     @property
     def defined(self) -> bool:
-        return self.critical_temperature is not None
+        """Whether the work changes sign: a zero slope D has no transition."""
+        return self.coefficients.slope > 0.0
+
+    @property
+    def critical_temperature(self) -> float | None:
+        """T_c = W_0 / (D k_B), or None where D = 0."""
+        return critical_temperature(self.coefficients) if self.defined else None
 
 
 @dataclass(frozen=True)
@@ -66,38 +77,29 @@ def critical_temperature(coeffs: WorkDecomposition) -> float:
 def phase_curve(
     spin: SpinStatistics, geometry: WellGeometry, n_values: Iterable[int]
 ) -> list[PhasePoint]:
-    """One PhasePoint per particle number, in the given order."""
-    n_list = list(n_values)
-    if not n_list:
+    """One PhasePoint per particle number, in the given order; one table each."""
+    points = [
+        PhasePoint(N=N, coefficients=work_coefficients(filling(spin, N), geometry))
+        for N in n_values
+    ]
+    if not points:
         raise ValueError("n_values must be non-empty")
-    points = []
-    for N in n_list:
-        coeffs = work_coefficients(filling(spin, N), geometry)
-        if coeffs.slope == 0.0:
-            points.append(PhasePoint(N=N, critical_temperature=None))
-        else:
-            points.append(PhasePoint(N=N, critical_temperature=critical_temperature(coeffs)))
     return points
 
 
-def work_grid(
-    spin: SpinStatistics,
-    geometry: WellGeometry,
-    n_values: Sequence[int],
-    temperatures: Sequence[float],
-) -> WorkGrid:
-    """Total work over the (N, T) lattice, cell-independent and deterministic."""
-    if len(n_values) == 0 or len(temperatures) == 0:
-        raise ValueError("n_values and temperatures must be non-empty")
+def work_grid(points: Sequence[PhasePoint], temperatures: Sequence[float]) -> WorkGrid:
+    """Total work D k_B T - W_0 of each point at each temperature; builds no table."""
+    if len(points) == 0 or len(temperatures) == 0:
+        raise ValueError("points and temperatures must be non-empty")
     if any(t < 0 for t in temperatures):
         raise ValueError("temperatures must be >= 0")
-    n_arr = np.asarray(n_values, dtype=np.int64)
     t_arr = np.asarray(temperatures, dtype=np.float64)
-    work = np.empty((n_arr.size, t_arr.size))
-    for i, N in enumerate(n_arr):
-        coeffs = work_coefficients(filling(spin, int(N)), geometry)
-        work[i, :] = coeffs.slope * BOLTZMANN * t_arr - coeffs.absorbed
-    return WorkGrid(n_values=n_arr, temperatures=t_arr, work=work)
+    slope, absorbed = np.array([(p.coefficients.slope, p.coefficients.absorbed) for p in points]).T
+    return WorkGrid(
+        n_values=np.array([point.N for point in points], dtype=np.int64),
+        temperatures=t_arr,
+        work=(slope * BOLTZMANN)[:, None] * t_arr - absorbed[:, None],
+    )
 
 
 @dataclass(frozen=True)

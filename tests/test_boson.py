@@ -32,15 +32,15 @@ def test_spinless_distribution_is_uniform():
     for N in (1, 2, 5, 17):
         dist = boson.measurement_distribution(BosonFilling(N=N, s=0))
         for m in range(N + 1):
-            assert dist.probability(m) == pytest.approx(1 / (N + 1), rel=1e-13)
+            assert dist.probabilities[m - dist.support[0]] == pytest.approx(1 / (N + 1), rel=1e-13)
 
 
 def test_distribution_spot_s1_n2():
     # f = [6, 9, 6] / 21
     dist = boson.measurement_distribution(BosonFilling(N=2, s=1))
-    assert dist.probability(0) == pytest.approx(6 / 21, rel=1e-14)
-    assert dist.probability(1) == pytest.approx(9 / 21, rel=1e-14)
-    assert dist.probability(2) == pytest.approx(6 / 21, rel=1e-14)
+    assert dist.probabilities[0 - dist.support[0]] == pytest.approx(6 / 21, rel=1e-14)
+    assert dist.probabilities[1 - dist.support[0]] == pytest.approx(9 / 21, rel=1e-14)
+    assert dist.probabilities[2 - dist.support[0]] == pytest.approx(6 / 21, rel=1e-14)
 
 
 def test_distribution_normalized_and_symmetric():
@@ -48,8 +48,8 @@ def test_distribution_normalized_and_symmetric():
         dist = boson.measurement_distribution(BosonFilling(N=N, s=s))
         assert dist.total() == pytest.approx(1.0, abs=1e-12)
         for m in range(N + 1):
-            assert dist.probability(m) == pytest.approx(
-                dist.probability(N - m), rel=1e-12
+            assert dist.probabilities[m - dist.support[0]] == pytest.approx(
+                dist.probabilities[N - m - dist.support[0]], rel=1e-12
             )
 
 

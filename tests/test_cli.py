@@ -1,3 +1,5 @@
+import collections
+import csv
 import json
 import math
 import pathlib
@@ -9,7 +11,8 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from spinszilard import cli
+from spinszilard import cli, information
+from spinszilard.boson import BosonFilling
 
 # temperatures in kelvin; k_B T / E0 = 0.05 is roughly T = 0.0199 K here
 LOW_T = "0.02"
@@ -276,6 +279,23 @@ def test_phase_multiple_spins(tmp_path):
     assert len(lines) == 10
 
 
+def test_phase_builds_one_outcome_table_per_spin_and_n(tmp_path, monkeypatch):
+    """The T_c table and the work grid share one table per (spin, N)."""
+    calls = collections.Counter()
+    build = information.outcome_table
+
+    def counted(filling, geometry):
+        calls[filling] += 1
+        return build(filling, geometry)
+
+    monkeypatch.setattr(information, "outcome_table", counted)
+    argv = ["phase", "--species", "boson", "--two-s", "0,2,4", "--n-range", "1:20",
+            "--temp-range", "0:1:0.05", "--out", str(tmp_path / "p.csv")]
+    assert run(argv) == 0
+    assert (tmp_path / "p.csv.grid.csv").exists()
+    assert calls == {BosonFilling(N=N, s=s): 1 for s in (0, 1, 2) for N in range(1, 21)}
+
+
 def test_efficiency_json(capsys):
     code = run(
         [
@@ -314,7 +334,31 @@ def test_efficiency_undefined_and_strict(capsys):
     assert run(argv) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["eta"] == "undefined"
+    # a deterministic outcome costs no erasure work, and it prints as +0
+    assert payload["Weras_joule"] == "0.00000000e+00"
     assert run(argv + ["--strict"]) == 3
+
+
+@pytest.mark.parametrize("species", ["fermion", "boson"])
+def test_efficiency_runner_up_rows(species, capsys):
+    """eta_second_highest is filled on exactly the fermion k in {2, 4u-2} and boson
+    N = 2 rows, with the closed-form alpha of each family."""
+    for half in range(1, 51) if species == "fermion" else range(0, 51):
+        if species == "fermion":  # half is u; two periods' worth of k = 2
+            two_s, n_range = 2 * half - 1, f"0:{4 * half + 3}"
+            alpha = (2.0 * half - 1.0) / (4.0 * half - 1.0)
+        else:  # half is s
+            two_s, n_range = 2 * half, "0:6"
+            alpha = (2.0 * half + 2.0) / (4.0 * half + 3.0)
+        argv = ["efficiency", "--species", species, "--two-s", str(two_s),
+                "--n-range", n_range, "--temp", "0.1"]
+        assert run(argv) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        expected = cli._fmt(information.second_highest_efficiency(alpha))
+        for row in rows:
+            N = int(row["N"])
+            runner_up = N % (4 * half) in (2, 4 * half - 2) if species == "fermion" else N == 2
+            assert row["eta_second_highest"] == (expected if runner_up else ""), (two_s, N)
 
 
 def test_oracle_agreement(capsys):
@@ -450,6 +494,27 @@ def test_config_file(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert float(payload["T_kelvin"]) == pytest.approx(0.2)
+    # ... and the config's other form of the same flag
+    config.write_text("species = fermion\ntwo-s = 1\nn_range = 1:5\ntemp_range = 0:1\n")
+    code = run(["work", "--n", "3", "--temp", "0.2", "--config", str(config)])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["N"], float(payload["T_kelvin"])) == (3, pytest.approx(0.2))
+    config.write_text("species = fermion\ntwo-s = 1\nn = 3\ntemp = 0.1\n")
+    code = run(["work", "--n-range", "1:2", "--temp-range", "0.1:0.2", "--config", str(config)])
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 2
+    # both forms in the file itself still conflict
+    config.write_text("species = fermion\ntwo-s = 1\nn = 3\nn_range = 1:5\ntemp = 0.1\n")
+    assert run(["work", "--config", str(config)]) == 2
+    assert "give either --n or --n-range" in capsys.readouterr().err
+
+
+def test_phase_names_a_bad_two_s_token(capsys):
+    assert run(["phase", "--species", "fermion", "--two-s", "1,,3", "--n-range", "1:3"]) == 2
+    assert capsys.readouterr().err.startswith("error: bad --two-s value '' for fermion")
+    assert run(["phase", "--species", "fermion", "--n-range", "1:3"]) == 2
+    assert capsys.readouterr().err == "error: --species and --two-s are required\n"
 
 
 def test_config_file_errors(tmp_path, capsys):
@@ -685,7 +750,7 @@ CHEAP = {
     "out": ["out.csv"],
     "config": ["good.conf"],
 }
-CHEAP_ORACLE = dict(CHEAP, n=["1", "2", "3"], temp=["0.02", "0.1", "2"], insertion=["0.3", "0.5"])
+CHEAP_ORACLE = dict(CHEAP, n=["1", "2", "3"], temp=["0.02", "0.1", "2"])
 HOSTILE = {
     "species": ["quark"],
     "two_s": ["-3", "nan", "1e300", "", "1,x"],
@@ -696,7 +761,6 @@ HOSTILE = {
                    "0:1e300", "1e300:1e300", "0:1:-0.1", "x:1"],
     "length": ["nan", "inf", "-3", "0", "1e300", "1e-300", "1e-140", "1e100"],
     "mass": ["nan", "inf", "0", "-3", "1e300", "1e-300", "1e-320"],
-    "insertion": ["0", "1", "nan"],
     "tolerance": ["1e-3"],
     "format": ["xml"],
     "out": [".", "missing-dir/out.csv"],
@@ -731,7 +795,7 @@ def invocations(draw):
         if pair:
             first = draw(st.sampled_from(pair))
             dests += [d for d in pair if (d == first and not _one_in(draw, 4)) or _one_in(draw, 8)]
-    dests += [d for d in ("length", "mass", "insertion", "tolerance", "format", "out", "strict")
+    dests += [d for d in ("length", "mass", "tolerance", "format", "out", "strict")
               if d in declared and draw(st.booleans())]
     if _one_in(draw, 8):
         dests.append("config")
@@ -751,9 +815,6 @@ def invocations(draw):
 @given(argv=invocations())
 # the oracle's hostile values, run every time whatever the strategy draws
 @example(argv=shlex.split("oracle --species fermion --two-s 1 --n 2 --temp 1e6"))
-@example(argv=shlex.split("oracle --species boson --two-s 2 --n 3 --temp 0.1 --insertion 0"))
-@example(argv=shlex.split("oracle --species boson --two-s 2 --n 3 --temp 0.1 --insertion 1"))
-@example(argv=shlex.split("oracle --species fermion --two-s 3 --n 2 --temp 2 --insertion nan"))
 def test_cli_fuzz_exit_contract(argv, tmp_path, monkeypatch, capsys):
     # a fresh directory per example, so no example reads another one's output files
     workdir = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))

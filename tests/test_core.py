@@ -91,14 +91,21 @@ def test_thermal_point_beta():
         ThermalPoint(-1.0)
 
 
-def test_distribution_entropy_and_lookup():
+def test_distribution_total_and_entropy():
     dist = MeasurementDistribution(
         support=np.array([0, 1, 2]), probabilities=np.array([0.25, 0.5, 0.25])
     )
-    assert dist.probability(1) == 0.5
-    assert dist.probability(7) == 0.0
     assert dist.total() == pytest.approx(1.0)
     assert dist.entropy() == pytest.approx(1.5 * math.log(2), rel=1e-12)
+
+
+def test_deterministic_distribution_entropy_is_positive_zero():
+    dist = MeasurementDistribution(support=np.array([4]), probabilities=np.array([1.0]))
+    assert math.copysign(1.0, dist.entropy()) == 1.0
+    # every other distribution keeps the bits of the negated sum
+    p = np.array([0.1, 0.2, 0.3, 0.4])
+    dist = MeasurementDistribution(support=np.arange(4), probabilities=p)
+    assert dist.entropy() == float(-np.sum(p * np.log(p)))
 
 
 def test_work_decomposition_affine():

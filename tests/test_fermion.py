@@ -55,12 +55,12 @@ def test_distribution_normalized_and_symmetric():
 def test_distribution_spot_values():
     # u=5, N=3: f over m in 0..3 is [120, 450, 450, 120] / 1140
     dist = fermion.measurement_distribution(decompose(3, 5))
-    assert dist.probability(0) == pytest.approx(120 / 1140, rel=1e-14)
-    assert dist.probability(1) == pytest.approx(450 / 1140, rel=1e-14)
+    assert dist.probabilities[0 - dist.support[0]] == pytest.approx(120 / 1140, rel=1e-14)
+    assert dist.probabilities[1 - dist.support[0]] == pytest.approx(450 / 1140, rel=1e-14)
     # u=1, N=3 (hole case, one hole): uniform over {1, 2}
     dist = fermion.measurement_distribution(decompose(3, 1))
-    assert dist.probability(1) == pytest.approx(0.5, rel=1e-14)
-    assert dist.probability(2) == pytest.approx(0.5, rel=1e-14)
+    assert dist.probabilities[1 - dist.support[0]] == pytest.approx(0.5, rel=1e-14)
+    assert dist.probabilities[2 - dist.support[0]] == pytest.approx(0.5, rel=1e-14)
 
 
 def test_post_expansion_boundary_outcomes_are_unity():

@@ -72,7 +72,7 @@ def test_phase_curve_boson_monotone_in_spin():
 
 def test_work_grid_shape_and_values():
     spin = SpinStatistics.fermion(1)
-    grid = phase.work_grid(spin, GEOM, [1, 2, 3], [0.0, 0.5, 1.0])
+    grid = phase.work_grid(phase.phase_curve(spin, GEOM, [1, 2, 3]), [0.0, 0.5, 1.0])
     assert grid.work.shape == (3, 3)
     # spin-1/2: W_0F = 0, so work is slope * kT everywhere
     coeffs = fermion.work_coefficients(decompose(2, 1), GEOM)
@@ -84,7 +84,7 @@ def test_work_grid_sign_flip_brackets_tc():
     spin = SpinStatistics.fermion(9)
     tc = 0.2634385021895925
     temps = np.linspace(0.0, 0.6, 61)
-    grid = phase.work_grid(spin, GEOM, [3], temps)
+    grid = phase.work_grid(phase.phase_curve(spin, GEOM, [3]), temps)
     signs = np.sign(grid.work[0])
     flips = np.nonzero(np.diff(signs) > 0)[0]
     assert len(flips) == 1
@@ -94,6 +94,31 @@ def test_work_grid_sign_flip_brackets_tc():
 def test_work_grid_validation():
     spin = SpinStatistics.fermion(1)
     with pytest.raises(ValueError):
-        phase.work_grid(spin, GEOM, [], [1.0])
+        phase.work_grid([], [1.0])
     with pytest.raises(ValueError):
-        phase.work_grid(spin, GEOM, [1], [-1.0])
+        phase.work_grid(phase.phase_curve(spin, GEOM, [1]), [-1.0])
+
+
+@pytest.mark.parametrize("spin", [SpinStatistics.fermion(9), SpinStatistics.boson(2)], ids=["f9", "b2"])
+def test_work_grid_is_the_affine_law_bit_for_bit(spin):
+    temps = np.linspace(0.0, 1.0, 21)
+    points = phase.phase_curve(spin, GEOM, range(0, 45))
+    grid = phase.work_grid(points, temps)
+    assert grid.n_values.tolist() == list(range(0, 45))
+    assert grid.temperatures.tolist() == temps.tolist()
+    for row, point in zip(grid.work, points):
+        coeffs = point.coefficients
+        expected = coeffs.slope * BOLTZMANN * temps - coeffs.absorbed
+        assert row.tobytes() == expected.tobytes()
+
+
+def test_phase_point_reads_its_coefficients():
+    spin = SpinStatistics.fermion(9)
+    for point in phase.phase_curve(spin, GEOM, range(0, 45)):
+        coeffs = fermion.work_coefficients(decompose(point.N, 5), GEOM)
+        assert point.coefficients == coeffs
+        assert point.defined == (coeffs.slope > 0)
+        if point.defined:
+            assert point.critical_temperature == phase.critical_temperature(coeffs)
+        else:
+            assert point.critical_temperature is None
