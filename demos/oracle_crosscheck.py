@@ -1,8 +1,8 @@
 """Compare the low-temperature closed forms against the exact canonical ensemble.
 
 The oracle builds partition functions by dynamic programming over well levels
-and finds equilibrium wall positions by direct free-energy maximization; it
-shares no formulas with the closed-form modules. At low temperature the two
+and puts each wall where the pressures on it balance, by a Newton search on
+the slope of ln Z_m; it shares no formulas with the closed-form modules. At low temperature the two
 agree to many digits. The second half of the script shows where the closed
 forms stop being trustworthy: at k_B T comparable to the level spacing their
 net work goes positive, while the exact ensemble keeps obeying the second law.

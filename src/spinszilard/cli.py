@@ -11,11 +11,13 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import itertools
 import math
 import sys
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import boson, fermion, information, oracle, phase
 from .core import (
@@ -224,15 +226,22 @@ def _thermal(args: argparse.Namespace) -> ThermalPoint:
     return ThermalPoint(temperature)
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _output(out: str | None) -> Iterator[TextIO]:
+    """Standard output, or ``out`` opened for writing; failing to open or write it exits 2."""
     if not out:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     try:
         with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            yield handle
     except OSError as exc:
         raise ConfigError(f"cannot write {out}: {exc}") from exc
+
+
+def _emit(text: str, out: str | None) -> None:
+    with _output(out) as handle:
+        handle.write(text)
 
 
 def _cell(value: Any) -> str:
@@ -241,23 +250,32 @@ def _cell(value: Any) -> str:
     return "" if value is None else str(value)
 
 
-def _csv_text(header: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+def _write_csv(handle: TextIO, header: Iterable[str], rows: Iterable[Iterable[Any]]) -> None:
+    writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([_cell(value) for value in row] for row in rows)
+
+
+def _csv_text(header: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:
+    buffer = io.StringIO()
+    _write_csv(buffer, header, rows)
     return buffer.getvalue()
 
 
-def _emit_rows(args: argparse.Namespace, rows: list[dict[str, Any]]) -> None:
-    """--strict check, then JSON for a single row or CSV for several."""
-    if args.strict and any(UNDEFINED in row.values() for row in rows):
-        raise StrictUndefinedError()
-    single = len(rows) == 1
+def _emit_rows(args: argparse.Namespace, rows: Iterable[dict[str, Any]], count: int) -> None:
+    """JSON for a single row, or CSV for several written as the rows are formed.
+
+    The caller settles --strict first, so a refused run writes nothing.
+    """
+    rows = iter(rows)
+    single = count == 1
     if (args.format or ("json" if single else "csv")) == "csv":
-        _emit(_csv_text(rows[0].keys(), [row.values() for row in rows]), args.out)
+        first = next(rows)
+        values = (row.values() for row in itertools.chain([first], rows))
+        with _output(args.out) as handle:
+            _write_csv(handle, first.keys(), values)
     elif single:
-        _emit(_json_dumps(rows[0]) + "\n", args.out)
+        _emit(_json_dumps(next(rows)) + "\n", args.out)
     else:
         raise ConfigError("json format is for single results; ranges emit csv")
 
@@ -269,28 +287,35 @@ def cmd_work(args: argparse.Namespace) -> int:
     t_values = _t_values(args)
     e0 = geometry.reference_energy
     fermion_fill = spin.kind is ParticleKind.FERMION
-    rows = []
-    for point in phase.phase_curve(spin, geometry, n_values):
-        coeffs = point.coefficients
-        filling = phase.filling(spin, point.N)
-        tc = _fmt(point.critical_temperature) if point.defined else UNDEFINED
-        for T in t_values:
-            w_tot = coeffs.total_work(ThermalPoint(T))
-            rows.append({
-                "species": spin.kind.value,
-                "two_s": spin.twice_spin,
-                "N": point.N,
-                "n": str(filling.n) if fermion_fill else "",
-                "k": str(filling.k) if fermion_fill else "",
-                "D": _fmt(coeffs.slope),
-                "W0_joule": _fmt(coeffs.absorbed),
-                "W0_per_E0": _fmt(coeffs.absorbed / e0),
-                "T_kelvin": _fmt(T),
-                "Wtot_joule": _fmt(w_tot),
-                "Wtot_per_kBT": _fmt(w_tot / (BOLTZMANN * T)) if T > 0 else UNDEFINED,
-                "Tc_kelvin": tc,
-            })
-    _emit_rows(args, rows)
+    points = phase.phase_curve(spin, geometry, n_values)
+    # the undefined cells: Wtot_per_kBT at T = 0 and Tc_kelvin where a point has no T_c
+    undefined = min(t_values) <= 0 or not all(point.defined for point in points)
+    if args.strict and undefined:
+        raise StrictUndefinedError()
+
+    def rows() -> Iterator[dict[str, Any]]:
+        for point in points:
+            coeffs = point.coefficients
+            filling = phase.filling(spin, point.N)
+            tc = _fmt(point.critical_temperature) if point.defined else UNDEFINED
+            for T in t_values:
+                w_tot = coeffs.total_work(ThermalPoint(T))
+                yield {
+                    "species": spin.kind.value,
+                    "two_s": spin.twice_spin,
+                    "N": point.N,
+                    "n": str(filling.n) if fermion_fill else "",
+                    "k": str(filling.k) if fermion_fill else "",
+                    "D": _fmt(coeffs.slope),
+                    "W0_joule": _fmt(coeffs.absorbed),
+                    "W0_per_E0": _fmt(coeffs.absorbed / e0),
+                    "T_kelvin": _fmt(T),
+                    "Wtot_joule": _fmt(w_tot),
+                    "Wtot_per_kBT": _fmt(w_tot / (BOLTZMANN * T)) if T > 0 else UNDEFINED,
+                    "Tc_kelvin": tc,
+                }
+
+    _emit_rows(args, rows(), len(points) * len(t_values))
     return EXIT_OK
 
 
@@ -390,7 +415,9 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
             "eta": UNDEFINED if w_eras == 0.0 else _fmt(w_tot / w_eras),
             "eta_second_highest": _fmt(information.second_highest_efficiency(alpha)) if second else "",
         })
-    _emit_rows(args, rows)
+    if args.strict and any(UNDEFINED in row.values() for row in rows):
+        raise StrictUndefinedError()
+    _emit_rows(args, rows, len(rows))
     return EXIT_OK
 
 

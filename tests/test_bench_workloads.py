@@ -2,9 +2,12 @@
 
 ``bench/workloads.py`` is imported as it is, and each workload's warm-up items
 go through its own run/check pair, so that a change dropping a name the
-benchmark calls fails here rather than only in a benchmark run.
+benchmark calls fails here rather than only in a benchmark run. The first
+seed-1 ``oracle_cycle`` items go through that pair too: its checks hold the
+exact cycle to the second law and, at low k_BT, to the closed-form work.
 """
 import importlib.util
+import itertools
 import json
 import pathlib
 import sys
@@ -33,5 +36,14 @@ def test_workload_warmup_items_pass_their_checks(workloads, name, tmp_path):
     run, check = workload.bind(str(tmp_path))
     outcome = workloads.Outcome()
     for item in workload.warmup():
+        check(item, run(item), outcome)
+    assert outcome.failed_checks == {}
+
+
+def test_first_seed_one_oracle_items_pass_their_checks(workloads, tmp_path):
+    workload = workloads.WORKLOADS["oracle_cycle"]
+    run, check = workload.bind(str(tmp_path))
+    outcome = workloads.Outcome()
+    for item in itertools.islice(workload.items(1), 48):
         check(item, run(item), outcome)
     assert outcome.failed_checks == {}

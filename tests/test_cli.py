@@ -73,6 +73,49 @@ def test_work_undefined_cells_and_strict(capsys):
     assert run(argv + ["--strict"]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # T = 0: Wtot_per_kBT is undefined in the first row of every N
+        "work --species fermion --two-s 1 --n-range 1:3 --temp-range 0:0.2:0.1 --out w.csv",
+        # N = 4 fills its shells: no T_c; the rows of N = 1..3 come first
+        "work --species fermion --two-s 1 --n-range 1:4 --temp 0.1 --out w.csv",
+    ],
+)
+def test_work_strict_refusal_writes_nothing(argv, tmp_path, monkeypatch, capsys):
+    """--strict is settled before the first row is formed, so exit 3 leaves no file."""
+    monkeypatch.chdir(tmp_path)
+    assert exit_code(argv) == 0
+    assert (tmp_path / "w.csv").read_text().count("undefined") >= 1
+    (tmp_path / "w.csv").unlink()
+    assert exit_code(argv + " --strict") == 3
+    assert capsys.readouterr().out == ""
+    assert not list(tmp_path.iterdir())
+
+
+def test_work_rows_are_written_as_they_are_formed(monkeypatch):
+    """The first CSV line reaches the output before the last N's row is formed."""
+    formed = []
+    filling = cli.phase.filling
+
+    def counted(spin, N):
+        formed.append(N)
+        return filling(spin, N)
+
+    class Sink(list):
+        def write(self, text):
+            self.append((len(formed), text))
+
+    sink = Sink()
+    monkeypatch.setattr(cli.phase, "filling", counted)
+    monkeypatch.setattr(cli.sys, "stdout", sink)
+    argv = ["work", "--species", "boson", "--two-s", "2", "--n-range", "1:40", "--temp", "0.1"]
+    assert run(argv) == 0
+    assert len(formed) >= 40  # phase_curve's tables, then the rows
+    assert sink[0][0] < len(formed)
+    assert "".join(text for _, text in sink).count("\n") == 41
+
+
 def test_missing_species_is_config_error(capsys):
     assert run(["work", "--two-s", "9", "--n", "3", "--temp", "0.1"]) == 2
     assert "error" in capsys.readouterr().err

@@ -1,5 +1,8 @@
+import collections
 import itertools
+import json
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -15,44 +18,73 @@ from spinszilard.core import (
     WellGeometry,
     level_energy,
 )
+from spinszilard.equilibrium import wall_position
 from spinszilard.fermion import decompose
+from spinszilard.phase import filling
 
 GEOM = WellGeometry(length=1e-9, mass=1e-26)
 E0 = GEOM.reference_energy
 L = GEOM.length
+FM_HEX = pathlib.Path(__file__).parent / "data" / "oracle_fm_hex.json"
+
+#: Every spin of the CLI's oracle domain, g = 2s + 1 <= 12: even g fermions, odd g bosons.
+DOMAIN_SPINS = [
+    SpinStatistics(g - 1, ParticleKind.FERMION if g % 2 == 0 else ParticleKind.BOSON)
+    for g in range(1, 13)
+]
 
 
 def thermal_at(kbt_over_e0: float) -> ThermalPoint:
     return ThermalPoint(kbt_over_e0 * E0 / BOLTZMANN)
 
 
-def brute_force_ln_z(count, width, degeneracy, kind, thermal, cutoff):
-    """Independent enumeration over single-particle states (level, spin)."""
+def brute_force_ensemble(count, width, degeneracy, kind, thermal, cutoff):
+    """ln Z, <E> and Var E by enumeration over single-particle states (level, spin)."""
     beta = thermal.beta
     states = [
         (n, sigma) for n in range(1, cutoff + 1) for sigma in range(degeneracy)
     ]
     energies = {n: level_energy(n, width, GEOM) for n in range(1, cutoff + 1)}
-    z = 0.0
     if kind is ParticleKind.FERMION:
         configs = itertools.combinations(states, count)
     else:
         configs = itertools.combinations_with_replacement(states, count)
-    for config in configs:
-        total_e = sum(energies[n] for n, _ in config)
-        z += math.exp(-beta * total_e)
-    return math.log(z)
+    totals = [sum(energies[n] for n, _ in config) for config in configs]
+    weights = [math.exp(-beta * e) for e in totals]
+    z = math.fsum(weights)
+    mean = math.fsum(w * e for w, e in zip(weights, totals)) / z
+    var = math.fsum(w * (e - mean) ** 2 for w, e in zip(weights, totals)) / z
+    return math.log(z), mean, var
 
 
 @pytest.mark.parametrize("kind", [ParticleKind.FERMION, ParticleKind.BOSON])
 @pytest.mark.parametrize("count,degeneracy", [(1, 1), (2, 1), (2, 2), (3, 2)])
 def test_box_partition_matches_enumeration(kind, count, degeneracy):
+    """ln Z, and the <E> and Var E the DP carries level by level, against enumeration."""
     thermal = thermal_at(2.0)
     spectrum = oracle.BoxSpectrum(width=0.5 * L, degeneracy=degeneracy, kind=kind, geometry=GEOM)
     dp = oracle.box_partition(count, spectrum, thermal)[count]
     # level 12 weighs exp(-288) per particle here: far below the last bit of Z
-    direct = brute_force_ln_z(count, 0.5 * L, degeneracy, kind, thermal, 12)
+    direct, mean, var = brute_force_ensemble(count, 0.5 * L, degeneracy, kind, thermal, 12)
     assert dp == pytest.approx(direct, rel=1e-12)
+    box = oracle.box_ensemble(count, spectrum, thermal)
+    assert box.mean_energy[count] == pytest.approx(mean, rel=1e-12)
+    assert box.energy_variance[count] == pytest.approx(var, rel=1e-10)
+    assert box.mean_energy[0] == box.energy_variance[0] == 0.0
+
+
+@pytest.mark.parametrize("kbt", [0.1, 1.0, 5.0])
+@pytest.mark.parametrize("spin", [SpinStatistics.fermion(3), SpinStatistics.boson(2)], ids=["f3", "b2"])
+def test_ln_z_derivatives_match_finite_differences(spin, kbt):
+    """Slope and curvature from the box moments, against central differences of ln Z_m."""
+    thermal = thermal_at(kbt)
+    N, h = 5, 1e-5 * L
+    for m in range(N + 1):
+        for pos in (0.3 * L, 0.55 * L):
+            f = [oracle.split_partition(N, x, spin, GEOM, thermal)[m] for x in (pos - h, pos, pos + h)]
+            slope, curvature = oracle.ln_z_derivatives(N, m, pos, spin, GEOM, thermal)
+            assert slope == pytest.approx((f[2] - f[0]) / (2 * h), rel=1e-6, abs=1e-6 / L)
+            assert curvature == pytest.approx((f[2] - 2 * f[1] + f[0]) / h**2, rel=1e-4)
 
 
 def test_box_partition_empty_box():
@@ -130,7 +162,79 @@ def test_exact_equilibrium_matches_cubic_rule():
     # one of three spinless bosons on the left: l_eq/L from r^3 = 1/2
     wall = oracle.exact_equilibria(3, SpinStatistics.boson(0), GEOM, thermal_at(0.05))[1]
     r = 0.5 ** (1 / 3)
-    assert wall.position / L == pytest.approx(r / (1 + r), abs=1e-4)
+    assert wall.position / L == pytest.approx(r / (1 + r), abs=1e-12)
+
+
+def fermion_ground_pressure(count, degeneracy):
+    """Sum of n^2 over the count lowest one-fermion states, level by level."""
+    states = sorted(n * n for n in range(1, count + 2) for _ in range(degeneracy))
+    return sum(states[:count])
+
+
+@pytest.mark.parametrize("spin", DOMAIN_SPINS, ids=lambda spin: f"g{spin.degeneracy}")
+def test_cold_walls_are_the_cubic_rule_walls(spin):
+    """At k_BT = 0.02 E0 every interior wall is the ground-state pressure balance:
+    the closed forms' cubic rule where the outcome is in their support, and the
+    same balance from filled levels where it is not."""
+    for N in range(2, 7):
+        fill = filling(spin, N)
+        walls = oracle.exact_equilibria(N, spin, GEOM, thermal_at(0.02))
+        for m in range(1, N):
+            if m in fill.support:
+                ratio = fill.outcome(m).ratio
+            else:
+                # off the support only fermions: the filled-level balance
+                left, right = (fermion_ground_pressure(c, spin.degeneracy) for c in (m, N - m))
+                ratio = (left / right) ** (1 / 3)
+            expected = wall_position(ratio, GEOM).position
+            assert abs(walls[m].position - expected) <= 1e-12 * L, (N, m)
+
+
+@pytest.mark.parametrize("kbt", [0.02, 0.5, 2.0, 30.0])
+@pytest.mark.parametrize("spin", DOMAIN_SPINS, ids=lambda spin: f"g{spin.degeneracy}")
+def test_lighter_half_walls_are_stationary(spin, kbt):
+    """At each searched wall the Newton step left, slope/curvature, is below 1e-10 L."""
+    thermal = thermal_at(kbt)
+    for N in range(2, 7):
+        walls = oracle.exact_equilibria(N, spin, GEOM, thermal)
+        for m in range(1, (N + 1) // 2):
+            slope, curvature = oracle.ln_z_derivatives(N, m, walls[m].position, spin, GEOM, thermal)
+            assert curvature < 0
+            assert abs(slope / curvature) <= 1e-10 * L, (N, m)
+
+
+def test_wall_search_evaluation_budget(monkeypatch):
+    """Over the CLI domain grid each interior outcome takes at most 8 slope
+    evaluations, each one DP pass of count m on the left and N - m on the right."""
+    passes = collections.Counter()
+    dp = oracle.box_ensemble
+
+    def counted(count, spectrum, thermal):
+        passes[count] += 1
+        return dp(count, spectrum, thermal)
+
+    monkeypatch.setattr(oracle, "box_ensemble", counted)
+    for spin in DOMAIN_SPINS:
+        for N in range(1, 7):
+            for kbt in (0.02, 0.05, 0.1, 0.2, 0.5, 1.0):
+                passes.clear()
+                oracle.exact_equilibria(N, spin, GEOM, thermal_at(kbt))
+                lighter = range(1, (N + 1) // 2)
+                assert sum(passes.values()) == 2 * sum(passes[m] for m in lighter)
+                for m in lighter:
+                    assert 1 <= passes[m] == passes[N - m] <= 8, (spin, N, kbt, m)
+
+
+def test_exact_distribution_bits_are_pinned():
+    """f_m at a given wall is bit for bit what version 0.6.0's DP gave, on a
+    committed corpus: both species, N = 1..6, k_BT/E0 from 0.02 to 30, walls at
+    L/2 and 0.3 L. Carrying the moments leaves ln Z untouched."""
+    for entry in json.loads(FM_HEX.read_text()):
+        spin = SpinStatistics(entry["two_s"], ParticleKind(entry["species"]))
+        dist = oracle.exact_distribution(
+            entry["N"], entry["wall_over_L"] * L, spin, GEOM, thermal_at(entry["kbt"])
+        )
+        assert [float(p).hex() for p in dist.probabilities] == entry["f"], entry
 
 
 def test_ensemble_cycle_boundary_weights_and_second_law():
@@ -205,17 +309,17 @@ def test_split_partition_validation():
 @pytest.mark.parametrize(
     "spin,N,kbt,work,walls",
     [
-        (SpinStatistics.fermion(3), 4, 0.1, "-0x1.00c857ce8a402p-77",
-         ["0x0.0p+0", "0x1.c234568c03164p-32", "0x1.12e0be826d695p-31",
-          "0x1.44a751bed9478p-31", "0x1.12e0be826d695p-30"]),
-        (SpinStatistics.boson(2), 5, 0.5, "-0x1.1353febce9ef3p-77",
-         ["0x0.0p+0", "0x1.a8f2c145440c4p-32", "0x1.00549fc5359aep-31",
-          "0x1.256cdd3fa537cp-31", "0x1.51481c6238cc8p-31", "0x1.12e0be826d695p-30"]),
+        (SpinStatistics.fermion(3), 4, 0.1, "-0x1.00c85685cd23fp-77",
+         ["0x0.0p+0", "0x1.c23456ebe21d5p-32", "0x1.12e0be826d695p-31",
+          "0x1.44a7518ee9c40p-31", "0x1.12e0be826d695p-30"]),
+        (SpinStatistics.boson(2), 5, 0.5, "-0x1.1353fc950e136p-77",
+         ["0x0.0p+0", "0x1.a8f2c17c2b66ep-32", "0x1.00549fea03b81p-31",
+          "0x1.256cdd1ad71a9p-31", "0x1.51481c46c51f3p-31", "0x1.12e0be826d695p-30"]),
         (SpinStatistics.fermion(1), 3, 0.1, "0x1.d6eb8553b9a0fp-82",
-         ["0x0.0p+0", "0x1.e686ccea30263p-32", "0x1.327e168fc2bf8p-31", "0x1.12e0be826d695p-30"]),
-        (SpinStatistics.boson(0), 6, 0.02, "-0x1.01aa5df8a23aap-76",
-         ["0x0.0p+0", "0x1.95ba3a2787f98p-32", "0x1.e686cce639d13p-32",
-          "0x1.12e0be826d695p-31", "0x1.327e1691bdea0p-31", "0x1.5ae45ff116d5ep-31",
+         ["0x0.0p+0", "0x1.e686cd0712449p-32", "0x1.327e168151b06p-31", "0x1.12e0be826d695p-30"]),
+        (SpinStatistics.boson(0), 6, 0.02, "-0x1.01aa5dcc622a9p-76",
+         ["0x0.0p+0", "0x1.95ba3a197e82ep-32", "0x1.e686cd0712449p-32",
+          "0x1.12e0be826d695p-31", "0x1.327e168151b06p-31", "0x1.5ae45ff81b913p-31",
           "0x1.12e0be826d695p-30"]),
     ],
     ids=["f3-N4", "b2-N5", "f1-N3", "b0-N6"],
