@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import itertools
 import math
 import sys
@@ -214,7 +213,8 @@ def _t_values(args: argparse.Namespace) -> list[float]:
         values = _parse_range(args.temp_range, float)
     else:
         raise _required(args, "temp", "temp_range")
-    if any(t < 0 or 0 < BOLTZMANN * t < sys.float_info.min for t in values):
+    # below about 1.8e-301 K, k_B T underflows to exactly 0
+    if any(t < 0 or (t > 0 and BOLTZMANN * t < sys.float_info.min) for t in values):
         raise ConfigError("temperatures must be >= 0, and k_B T a normal float if nonzero")
     return values
 
@@ -250,30 +250,24 @@ def _cell(value: Any) -> str:
     return "" if value is None else str(value)
 
 
-def _write_csv(handle: TextIO, header: Iterable[str], rows: Iterable[Iterable[Any]]) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_cell(value) for value in row] for row in rows)
+def _write_csv(out: str | None, header: Iterable[str], rows: Iterable[Iterable[Any]]) -> None:
+    """CSV to standard output or ``out``, each row written as it is formed.
 
-
-def _csv_text(header: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:
-    buffer = io.StringIO()
-    _write_csv(buffer, header, rows)
-    return buffer.getvalue()
+    The caller raises its errors first, so a refused run writes nothing.
+    """
+    with _output(out) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(value) for value in row] for row in rows)
 
 
 def _emit_rows(args: argparse.Namespace, rows: Iterable[dict[str, Any]], count: int) -> None:
-    """JSON for a single row, or CSV for several written as the rows are formed.
-
-    The caller settles --strict first, so a refused run writes nothing.
-    """
+    """JSON for a single row, or CSV for several; the caller settles --strict first."""
     rows = iter(rows)
     single = count == 1
     if (args.format or ("json" if single else "csv")) == "csv":
         first = next(rows)
-        values = (row.values() for row in itertools.chain([first], rows))
-        with _output(args.out) as handle:
-            _write_csv(handle, first.keys(), values)
+        _write_csv(args.out, first.keys(), (row.values() for row in itertools.chain([first], rows)))
     elif single:
         _emit(_json_dumps(next(rows)) + "\n", args.out)
     else:
@@ -350,7 +344,7 @@ def cmd_distribution(args: argparse.Namespace) -> int:
     else:
         header = ["m", "f_m"] + (["f_m_star"] if stars is not None else [])
         columns = [m_values, f_values] + ([stars] if stars is not None else [])
-        _emit(_csv_text(header, zip(*columns)), args.out)
+        _write_csv(args.out, header, zip(*columns))
     print(f"sum f_m = {_fmt(dist.total())}", file=sys.stderr)
     return EXIT_OK
 
@@ -377,16 +371,16 @@ def cmd_phase(args: argparse.Namespace) -> int:
         for spin, points in curves
         for point in points
     )
-    _emit(_csv_text(lead + ["N", "T_c_kelvin", "defined"], rows), args.out)
+    _write_csv(args.out, lead + ["N", "T_c_kelvin", "defined"], rows)
     if t_values:
-        grids = [(spin, phase.work_grid(points, t_values)) for spin, points in curves]
+        grids = ((spin, phase.work_grid(points, t_values)) for spin, points in curves)
         grid_rows = (
             [spin.twice_spin] * len(lead) + [N, T, w, (w > 0) - (w < 0)]
             for spin, grid in grids
-            for N, works in zip(grid.n_values.tolist(), grid.work.tolist())
-            for T, w in zip(grid.temperatures.tolist(), works)
+            for N, works in zip(grid.n_values.tolist(), grid.work)
+            for T, w in zip(t_values, works.tolist())
         )
-        _emit(_csv_text(lead + ["N", "T", "W_tot_joule", "sign"], grid_rows), args.out + ".grid.csv")
+        _write_csv(args.out + ".grid.csv", lead + ["N", "T", "W_tot_joule", "sign"], grid_rows)
     return EXIT_OK
 
 
@@ -395,29 +389,32 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
     geometry = _geometry(args)
     n_values = _n_values(args)
     thermal = _thermal(args)
-    rows = []
-    for N in n_values:
-        table = information.outcome_table(phase.filling(spin, N), geometry)
-        # the runner-up engines have three outcomes: alpha = 1 - f_central = 2 f_edge
-        second = len(table.f) == 3
-        alpha = 2.0 * float(table.f[0])
-        w_tot = table.work_coefficients().total_work(thermal)
-        w_eras = information.erasure_work(table.distribution, thermal)
-        w_net = table.net_work(thermal)
-        rows.append({
-            "species": spin.kind.value,
-            "two_s": spin.twice_spin,
-            "N": N,
-            "T_kelvin": _fmt(thermal.temperature),
-            "Wtot_joule": _fmt(w_tot),
-            "Weras_joule": _fmt(w_eras),
-            "Wnet_joule": _fmt(w_net),
-            "eta": UNDEFINED if w_eras == 0.0 else _fmt(w_tot / w_eras),
-            "eta_second_highest": _fmt(information.second_highest_efficiency(alpha)) if second else "",
-        })
-    if args.strict and any(UNDEFINED in row.values() for row in rows):
+    # eta is undefined where W_eras = k_B T H(f) = 0, that is where the filling has one outcome
+    if args.strict and any(len(phase.filling(spin, N).support) == 1 for N in n_values):
         raise StrictUndefinedError()
-    _emit_rows(args, rows, len(rows))
+
+    def rows() -> Iterator[dict[str, Any]]:
+        for N in n_values:
+            table = information.outcome_table(phase.filling(spin, N), geometry)
+            # the runner-up engines have three outcomes: alpha = 1 - f_central = 2 f_edge
+            second = len(table.f) == 3
+            alpha = 2.0 * float(table.f[0])
+            w_tot = table.work_coefficients().total_work(thermal)
+            w_eras = information.erasure_work(table.distribution, thermal)
+            w_net = table.net_work(thermal)
+            yield {
+                "species": spin.kind.value,
+                "two_s": spin.twice_spin,
+                "N": N,
+                "T_kelvin": _fmt(thermal.temperature),
+                "Wtot_joule": _fmt(w_tot),
+                "Weras_joule": _fmt(w_eras),
+                "Wnet_joule": _fmt(w_net),
+                "eta": UNDEFINED if w_eras == 0.0 else _fmt(w_tot / w_eras),
+                "eta_second_highest": _fmt(information.second_highest_efficiency(alpha)) if second else "",
+            }
+
+    _emit_rows(args, rows(), len(n_values))
     return EXIT_OK
 
 
@@ -485,7 +482,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if fmt == "json":
         _emit(_json_dumps(payload) + "\n", args.out)
     else:
-        _emit(_csv_text(rows[0].keys(), [row.values() for row in rows]), args.out)
+        _write_csv(args.out, rows[0].keys(), (row.values() for row in rows))
         print(
             f"W_exact = {_fmt(cycle.total_work)}  W_analytic = {_fmt(analytic_work)}  "
             f"rel_delta = {_fmt(rel_dw)}",
@@ -503,22 +500,23 @@ def cmd_limits(args: argparse.Namespace) -> int:
     spin = _spin(args.species, args.two_s)
     geometry = _geometry(args)
     e0 = geometry.reference_energy
-    rows = []
     if spin.kind is ParticleKind.FERMION:
         if args.n is not None or args.n_range is not None:
             raise ConfigError("fermion limits index k in [0, 4u); --n and --n-range are for bosons")
         u = spin.u
         header = ["k", "D_F", "avg_W0F_limit_joule", "avg_W0F_limit_per_E0"]
-        for k in range(4 * u):
-            coeffs = information.work_coefficients(fermion.decompose(k, u), geometry)
-            limit = fermion.average_absorbed_work_limit(u, k, geometry)
-            rows.append([k, coeffs.slope, limit, limit / e0])
+        # (k, D_F, the k-averaged W_0F limit) of each row
+        limits = (
+            (k, information.work_coefficients(fermion.decompose(k, u), geometry).slope,
+             fermion.average_absorbed_work_limit(u, k, geometry))
+            for k in range(4 * u)
+        )
     else:
         header = ["N", "lim_D_B", "lim_W0B_joule", "lim_W0B_per_E0"]
-        for N in _n_values(args):
-            lim = boson.large_spin_limits(N, geometry)
-            rows.append([N, lim.slope, lim.absorbed, lim.absorbed / e0])
-    _emit(_csv_text(header, rows), args.out)
+        # the outermost iterable runs now, so a bad --n-range exits 2 before any output
+        boson_limits = ((N, boson.large_spin_limits(N, geometry)) for N in _n_values(args))
+        limits = ((N, lim.slope, lim.absorbed) for N, lim in boson_limits)
+    _write_csv(args.out, header, ([index, slope, w0, w0 / e0] for index, slope, w0 in limits))
     return EXIT_OK
 
 

@@ -4,7 +4,9 @@
 go through its own run/check pair, so that a change dropping a name the
 benchmark calls fails here rather than only in a benchmark run. The first
 seed-1 ``oracle_cycle`` items go through that pair too: its checks hold the
-exact cycle to the second law and, at low k_BT, to the closed-form work.
+exact cycle to the second law and, at low k_BT, to the closed-form work. So do
+the first seed-1 ``phase_cli`` items: their checks count the rows of both
+files and compare a repeated run byte for byte.
 """
 import importlib.util
 import itertools
@@ -40,10 +42,11 @@ def test_workload_warmup_items_pass_their_checks(workloads, name, tmp_path):
     assert outcome.failed_checks == {}
 
 
-def test_first_seed_one_oracle_items_pass_their_checks(workloads, tmp_path):
-    workload = workloads.WORKLOADS["oracle_cycle"]
+@pytest.mark.parametrize("name,count", [("oracle_cycle", 48), ("phase_cli", 12)])
+def test_first_seed_one_items_pass_their_checks(workloads, name, count, tmp_path):
+    workload = workloads.WORKLOADS[name]
     run, check = workload.bind(str(tmp_path))
     outcome = workloads.Outcome()
-    for item in itertools.islice(workload.items(1), 48):
+    for item in itertools.islice(workload.items(1), count):
         check(item, run(item), outcome)
     assert outcome.failed_checks == {}

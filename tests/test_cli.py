@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import csv
 import json
 import math
@@ -11,8 +12,9 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from spinszilard import cli, information
+from spinszilard import cli, information, phase
 from spinszilard.boson import BosonFilling
+from spinszilard.core import BOLTZMANN, ParticleKind, SpinStatistics, ThermalPoint, WellGeometry
 
 # temperatures in kelvin; k_B T / E0 = 0.05 is roughly T = 0.0199 K here
 LOW_T = "0.02"
@@ -80,6 +82,9 @@ def test_work_undefined_cells_and_strict(capsys):
         "work --species fermion --two-s 1 --n-range 1:3 --temp-range 0:0.2:0.1 --out w.csv",
         # N = 4 fills its shells: no T_c; the rows of N = 1..3 come first
         "work --species fermion --two-s 1 --n-range 1:4 --temp 0.1 --out w.csv",
+        # one outcome, so no eta: the empty well in the first row, a filled shell in the last
+        "efficiency --species fermion --two-s 1 --n-range 0:3 --temp 0.1 --out w.csv",
+        "efficiency --species fermion --two-s 1 --n-range 1:4 --temp 0.1 --out w.csv",
     ],
 )
 def test_work_strict_refusal_writes_nothing(argv, tmp_path, monkeypatch, capsys):
@@ -93,7 +98,8 @@ def test_work_strict_refusal_writes_nothing(argv, tmp_path, monkeypatch, capsys)
     assert not list(tmp_path.iterdir())
 
 
-def test_work_rows_are_written_as_they_are_formed(monkeypatch):
+@pytest.mark.parametrize("command", ["work", "efficiency"])
+def test_work_rows_are_written_as_they_are_formed(command, monkeypatch):
     """The first CSV line reaches the output before the last N's row is formed."""
     formed = []
     filling = cli.phase.filling
@@ -109,9 +115,9 @@ def test_work_rows_are_written_as_they_are_formed(monkeypatch):
     sink = Sink()
     monkeypatch.setattr(cli.phase, "filling", counted)
     monkeypatch.setattr(cli.sys, "stdout", sink)
-    argv = ["work", "--species", "boson", "--two-s", "2", "--n-range", "1:40", "--temp", "0.1"]
+    argv = [command, "--species", "boson", "--two-s", "2", "--n-range", "1:40", "--temp", "0.1"]
     assert run(argv) == 0
-    assert len(formed) >= 40  # phase_curve's tables, then the rows
+    assert len(formed) >= 40  # work: phase_curve's tables, then the rows
     assert sink[0][0] < len(formed)
     assert "".join(text for _, text in sink).count("\n") == 41
 
@@ -337,6 +343,49 @@ def test_phase_builds_one_outcome_table_per_spin_and_n(tmp_path, monkeypatch):
     assert run(argv) == 0
     assert (tmp_path / "p.csv.grid.csv").exists()
     assert calls == {BosonFilling(N=N, s=s): 1 for s in (0, 1, 2) for N in range(1, 21)}
+
+
+def test_phase_files_are_written_row_by_row(tmp_path, monkeypatch):
+    """Both files reach their handle one line per write, not as one string."""
+    writes = collections.Counter()
+    output = cli._output
+
+    @contextlib.contextmanager
+    def counted(out):
+        with output(out) as handle:
+            class Counting:
+                def write(self, text):
+                    writes[out] += 1
+                    return handle.write(text)
+
+            yield Counting()
+
+    monkeypatch.setattr(cli, "_output", counted)
+    out = str(tmp_path / "p.csv")
+    argv = ["phase", "--species", "boson", "--two-s", "0,2", "--n-range", "1:20",
+            "--temp-range", "0:1:0.05", "--out", out]
+    assert run(argv) == 0
+    lines = {path: len(pathlib.Path(path).read_text().splitlines()) for path in writes}
+    assert lines == {out: 1 + 2 * 20, out + ".grid.csv": 1 + 2 * 20 * 21}
+    assert writes == lines
+
+
+def test_one_outcome_is_exactly_zero_erasure_work():
+    """efficiency's --strict check: eta is undefined (W_eras = 0) just where f has one outcome."""
+    geometry = WellGeometry(length=1e-9, mass=1e-26)
+    e0 = geometry.reference_energy
+    thermals = [ThermalPoint(x * e0 / BOLTZMANN) for x in (0.01, 0.1, 1, 30)]
+    mismatches = []
+    for kind in ParticleKind:
+        for two_s in range(kind is ParticleKind.FERMION, 42, 2):
+            spin = SpinStatistics(twice_spin=two_s, kind=kind)
+            for N in range(161):
+                filling = phase.filling(spin, N)
+                dist = information.outcome_table(filling, geometry).distribution
+                one = len(filling.support) == 1
+                mismatches += [(kind, two_s, N, th) for th in thermals
+                               if (information.erasure_work(dist, th) == 0.0) != one]
+    assert mismatches == []
 
 
 def test_efficiency_json(capsys):
@@ -637,6 +686,24 @@ def test_meaningless_numbers_exit_2(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        "work --species boson --two-s 0 --n 3 --temp 1e-320",
+        "work --species boson --two-s 0 --n-range 1:3 --temp-range 1e-320:1e-320",
+        "distribution --species boson --two-s 0 --n 3 --temp 1e-320",
+        "efficiency --species boson --two-s 0 --n 3 --temp 1e-320",
+        "oracle --species boson --two-s 0 --n 3 --temp 1e-320",
+    ],
+)
+def test_temperature_whose_k_b_t_underflows_to_zero_exits_2(argv, capsys):
+    """Below about 1.8e-301 K, k_B T is exactly 0.0, not a subnormal."""
+    assert exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "k_B T a normal float" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         "phase --species fermion --two-s 9 --n-range 1:3 --temp-range 0:1:1e-9 --out p.csv",
         "phase --species fermion --two-s 9 --n-range 1:3 --temp-range 0:inf --out p.csv",
         "work --species boson --two-s 2 --n-range 0:1000000000 --temp 0.1",
@@ -799,9 +866,9 @@ HOSTILE = {
     "two_s": ["-3", "nan", "1e300", "", "1,x"],
     "n": ["-3", "1e300", "nan", "inf"],
     "n_range": ["-3:2", "5", "3:1", "1:2:0", "0:1000000000", "a:b", "1:2:3:4", "0:1e300", "0:inf"],
-    "temp": ["nan", "inf", "-3", "1e300", "1e-300", "-inf", "1e6"],
+    "temp": ["nan", "inf", "-3", "1e300", "1e-300", "1e-320", "-inf", "1e6"],
     "temp_range": ["0:1:1e-9", "0:inf", "nan:1", "1:0", "0:1:0", "1e-300:1e300",
-                   "0:1e300", "1e300:1e300", "0:1:-0.1", "x:1"],
+                   "0:1e300", "1e300:1e300", "0:1:-0.1", "x:1", "1e-320:1e-320"],
     "length": ["nan", "inf", "-3", "0", "1e300", "1e-300", "1e-140", "1e100"],
     "mass": ["nan", "inf", "0", "-3", "1e300", "1e-300", "1e-320"],
     "tolerance": ["1e-3"],

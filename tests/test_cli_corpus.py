@@ -55,6 +55,12 @@ INVOCATIONS = [
     ("work --species fermion --two-s 1 --n 3 --config corpus.conf", "n_range = 1:5\ntemp = 0.1\n"),
     ("work --species fermion --two-s 1 --n 3 --temp 0.2 --config corpus.conf", "temp_range = 0:1\n"),
     ("phase --species fermion --two-s 1,,3 --n-range 1:3", None),
+    # every writer path: JSON with and without f*, a strict refusal, files
+    ("distribution --species boson --two-s 2 --n 4 --temp 0.1", None),
+    ("distribution --species fermion --two-s 3 --n 5", None),
+    ("efficiency --species fermion --two-s 1 --n-range 0:8 --temp 0.1 --strict --out e.csv", None),
+    ("limits --species fermion --two-s 3 --out l.csv", None),
+    ("oracle --species fermion --two-s 1 --n 2 --temp 0.1 --out o.json", None),
 ]
 
 
