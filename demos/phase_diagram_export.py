@@ -1,6 +1,6 @@
 """Export critical-temperature curves and a work-sign grid as CSV files.
 
-Writes phase_fermion_u5.csv, phase_boson.csv and work_grid_u5.csv into the
+Writes phase_fermion_u5.csv, phase_boson.csv and work_u5.csv into the
 current directory; the same files can be produced with the `szilard phase`
 subcommand.
 """
@@ -33,13 +33,13 @@ with open("phase_boson.csv", "w", newline="") as handle:
             )
 
 temperatures = np.linspace(0.0, 1.0, 101)
-grid = phase.work_grid(fermion_curve, temperatures)
-with open("work_grid_u5.csv", "w", newline="") as handle:
+with open("work_u5.csv", "w", newline="") as handle:
     writer = csv.writer(handle)
     writer.writerow(["N", "T_kelvin", "W_tot_joule"])
-    for i, N in enumerate(grid.n_values):
-        for j, T in enumerate(grid.temperatures):
-            writer.writerow([int(N), float(T), grid.work[i, j]])
+    # one grid row per N: W_tot = D k_B T - W_0 at every temperature
+    for point in fermion_curve:
+        for T, work in zip(temperatures.tolist(), point.work(temperatures).tolist()):
+            writer.writerow([point.N, T, work])
 
-print("wrote phase_fermion_u5.csv, phase_boson.csv, work_grid_u5.csv")
+print("wrote phase_fermion_u5.csv, phase_boson.csv, work_u5.csv")
 print("cells with an empty T_c have zero work slope: no sign change at any T")

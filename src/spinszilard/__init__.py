@@ -24,4 +24,4 @@ __all__ = [
     "level_energy",
 ]
 
-__version__ = "0.7.1"
+__version__ = "0.8.0"

@@ -15,8 +15,11 @@ import contextlib
 import csv
 import itertools
 import math
+import os
 import sys
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
+
+import numpy as np
 
 from . import boson, fermion, information, oracle, phase
 from .core import (
@@ -230,7 +233,13 @@ def _thermal(args: argparse.Namespace) -> ThermalPoint:
 def _output(out: str | None) -> Iterator[TextIO]:
     """Standard output, or ``out`` opened for writing; failing to open or write it exits 2."""
     if not out:
-        yield sys.stdout
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except OSError as exc:
+            # say, a reader that went away; devnull takes the descriptor so the flush at exit passes
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ConfigError(f"cannot write standard output: {exc}") from exc
         return
     try:
         with open(out, "w", encoding="utf-8", newline="") as handle:
@@ -282,6 +291,7 @@ def cmd_work(args: argparse.Namespace) -> int:
     e0 = geometry.reference_energy
     fermion_fill = spin.kind is ParticleKind.FERMION
     points = phase.phase_curve(spin, geometry, n_values)
+    t_arr = np.array(t_values)
     # the undefined cells: Wtot_per_kBT at T = 0 and Tc_kelvin where a point has no T_c
     undefined = min(t_values) <= 0 or not all(point.defined for point in points)
     if args.strict and undefined:
@@ -292,8 +302,7 @@ def cmd_work(args: argparse.Namespace) -> int:
             coeffs = point.coefficients
             filling = phase.filling(spin, point.N)
             tc = _fmt(point.critical_temperature) if point.defined else UNDEFINED
-            for T in t_values:
-                w_tot = coeffs.total_work(ThermalPoint(T))
+            for T, w_tot in zip(t_values, point.work(t_arr).tolist()):
                 yield {
                     "species": spin.kind.value,
                     "two_s": spin.twice_spin,
@@ -373,12 +382,12 @@ def cmd_phase(args: argparse.Namespace) -> int:
     )
     _write_csv(args.out, lead + ["N", "T_c_kelvin", "defined"], rows)
     if t_values:
-        grids = ((spin, phase.work_grid(points, t_values)) for spin, points in curves)
+        t_arr = np.array(t_values)
         grid_rows = (
-            [spin.twice_spin] * len(lead) + [N, T, w, (w > 0) - (w < 0)]
-            for spin, grid in grids
-            for N, works in zip(grid.n_values.tolist(), grid.work)
-            for T, w in zip(t_values, works.tolist())
+            [spin.twice_spin] * len(lead) + [point.N, T, w, (w > 0) - (w < 0)]
+            for spin, points in curves
+            for point in points
+            for T, w in zip(t_values, point.work(t_arr).tolist())
         )
         _write_csv(args.out + ".grid.csv", lead + ["N", "T", "W_tot_joule", "sign"], grid_rows)
     return EXIT_OK

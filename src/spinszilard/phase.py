@@ -1,4 +1,4 @@
-"""Critical temperatures, (N, T) work grids and extremal configurations.
+"""Critical temperatures, work over temperature and extremal configurations.
 
 A configuration with positive slope D has a single sign change of the
 total work at T_c = W_0 / (D k_B). Configurations with D = 0 (fermion
@@ -6,14 +6,15 @@ k = 0, boson N = 0) have no transition; they are carried as explicit
 ``None`` markers, never NaN, so file consumers can tell "no transition"
 from numeric failure.
 
-``phase_curve`` keeps one outcome table's work coefficients per N; T_c and
-the (N, T) work grid both reduce those points, and build no table again.
+``phase_curve`` keeps one outcome table's work coefficients per N as a
+``PhasePoint``; its T_c and its work at given temperatures (one row of the
+(N, T) work grid) reduce those coefficients, and build no table again.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -50,14 +51,12 @@ class PhasePoint:
         """T_c = W_0 / (D k_B), or None where D = 0."""
         return critical_temperature(self.coefficients) if self.defined else None
 
-
-@dataclass(frozen=True)
-class WorkGrid:
-    """Total work on an (N, T) lattice; cell [i, j] belongs to (N[i], T[j])."""
-
-    n_values: np.ndarray
-    temperatures: np.ndarray
-    work: np.ndarray
+    def work(self, temperatures: np.ndarray) -> np.ndarray:
+        """Total work D k_B T - W_0 [J] at each temperature, as ``total_work`` forms it."""
+        # min carries a NaN through, so NaN fails as in ThermalPoint
+        if not temperatures.min(initial=0.0) >= 0:
+            raise ValueError("temperatures must be >= 0")
+        return self.coefficients.slope * BOLTZMANN * temperatures - self.coefficients.absorbed
 
 
 def filling(spin: SpinStatistics, N: int) -> FermionFilling | BosonFilling:
@@ -85,21 +84,6 @@ def phase_curve(
     if not points:
         raise ValueError("n_values must be non-empty")
     return points
-
-
-def work_grid(points: Sequence[PhasePoint], temperatures: Sequence[float]) -> WorkGrid:
-    """Total work D k_B T - W_0 of each point at each temperature; builds no table."""
-    if len(points) == 0 or len(temperatures) == 0:
-        raise ValueError("points and temperatures must be non-empty")
-    if any(t < 0 for t in temperatures):
-        raise ValueError("temperatures must be >= 0")
-    t_arr = np.asarray(temperatures, dtype=np.float64)
-    slope, absorbed = np.array([(p.coefficients.slope, p.coefficients.absorbed) for p in points]).T
-    return WorkGrid(
-        n_values=np.array([point.N for point in points], dtype=np.int64),
-        temperatures=t_arr,
-        work=(slope * BOLTZMANN)[:, None] * t_arr - absorbed[:, None],
-    )
 
 
 @dataclass(frozen=True)

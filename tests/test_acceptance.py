@@ -428,8 +428,7 @@ def test_criterion_12_critical_temperature_spots():
     spot_ok = abs(tc_f - 0.263326) < 1e-3 and abs(tc_b - 0.270829) < 1e-3
 
     temps = np.linspace(0.0, 0.6, 121)
-    grid = phase.work_grid(phase.phase_curve(SpinStatistics.fermion(9), GEOM, [3]), temps)
-    signs = np.sign(grid.work[0])
+    signs = np.sign(phase.phase_curve(SpinStatistics.fermion(9), GEOM, [3])[0].work(temps))
     flips = np.nonzero(np.diff(signs) > 0)[0]
     flip_ok = len(flips) == 1 and temps[flips[0]] <= tc_f <= temps[flips[0] + 1]
 

@@ -3,10 +3,14 @@ import contextlib
 import csv
 import json
 import math
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import pytest
@@ -112,6 +116,9 @@ def test_work_rows_are_written_as_they_are_formed(command, monkeypatch):
         def write(self, text):
             self.append((len(formed), text))
 
+        def flush(self):
+            pass
+
     sink = Sink()
     monkeypatch.setattr(cli.phase, "filling", counted)
     monkeypatch.setattr(cli.sys, "stdout", sink)
@@ -120,6 +127,37 @@ def test_work_rows_are_written_as_they_are_formed(command, monkeypatch):
     assert len(formed) >= 40  # work: phase_curve's tables, then the rows
     assert sink[0][0] < len(formed)
     assert "".join(text for _, text in sink).count("\n") == 41
+
+
+@pytest.mark.parametrize(
+    "argv,lines",
+    [
+        ("efficiency --species fermion --two-s 1 --n-range 0:20000 --temp 0.1", 1),
+        ("phase --species fermion --two-s 1 --n-range 0:20000", 1),
+        ("work --species fermion --two-s 1 --n 3 --temp 0.1", 0),
+    ],
+    ids=["efficiency", "phase", "work-json"],
+)
+def test_closed_stdout_exits_2_without_traceback(argv, lines):
+    """A reader that goes away after ``lines`` lines (as ``| head -1``) is a failed write."""
+    read_fd, write_fd = os.pipe()
+    reader = os.fdopen(read_fd, "rb")
+    if not lines:
+        reader.close()  # as ``| head -0``: no reader before the first byte
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spinszilard.cli", *shlex.split(argv)],
+        stdout=write_fd, stderr=subprocess.PIPE, env=env,
+    )
+    os.close(write_fd)
+    if lines:
+        assert reader.readline()
+        reader.close()
+    _, err = proc.communicate(timeout=120)
+    err = err.decode()
+    assert proc.returncode == 2, err
+    assert err.startswith("error: cannot write standard output: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_missing_species_is_config_error(capsys):
@@ -368,6 +406,26 @@ def test_phase_files_are_written_row_by_row(tmp_path, monkeypatch):
     lines = {path: len(pathlib.Path(path).read_text().splitlines()) for path in writes}
     assert lines == {out: 1 + 2 * 20, out + ".grid.csv": 1 + 2 * 20 * 21}
     assert writes == lines
+
+
+def test_phase_grid_memory_does_not_grow_with_the_grid(tmp_path):
+    """The grid is formed one N at a time: 20 times the temperatures adds no N x T array."""
+
+    def traced_peak(temp_range):
+        argv = ["phase", "--species", "boson", "--two-s", "2", "--n-range", "0:49",
+                "--temp-range", temp_range, "--out", str(tmp_path / "p.csv")]
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small = traced_peak("0:1:0.01")
+    large = traced_peak("0:1:0.0005")
+    lines = (tmp_path / "p.csv.grid.csv").read_text().count("\n")
+    assert lines == 1 + 50 * 2001
+    assert large - small < 0.2e6, (small, large)
 
 
 def test_one_outcome_is_exactly_zero_erasure_work():

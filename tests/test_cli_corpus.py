@@ -61,6 +61,10 @@ INVOCATIONS = [
     ("efficiency --species fermion --two-s 1 --n-range 0:8 --temp 0.1 --strict --out e.csv", None),
     ("limits --species fermion --two-s 3 --out l.csv", None),
     ("oracle --species fermion --two-s 1 --n 2 --temp 0.1 --out o.json", None),
+    # work's N x T tables, and a phase grid whose N = 0 rows have D = 0 and sign 0
+    ("work --species fermion --two-s 3 --n-range 0:40 --temp-range 0:1:0.1 --out w.csv", None),
+    ("work --species boson --two-s 4 --n-range 0:30 --temp-range 0:2:0.05", None),
+    ("phase --species boson --two-s 0,2 --n-range 0:30 --temp-range 0:2:0.1 --out g.csv", None),
 ]
 
 

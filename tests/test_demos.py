@@ -1,10 +1,12 @@
-"""Smoke test: every demo script runs to completion."""
+"""Smoke test: every demo script, and README's Library example, runs to completion."""
 import pathlib
+import re
 import runpy
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=[path.stem for path in DEMOS])
@@ -12,4 +14,11 @@ def test_demo_runs(path, tmp_path, monkeypatch, capsys):
     # phase_diagram_export.py writes its CSV files into the working directory
     monkeypatch.chdir(tmp_path)
     runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out
+
+
+def test_readme_library_example_runs(capsys):
+    """README's ``python`` block names only what the package still has."""
+    (block,) = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
+    exec(compile(block, "README.md", "exec"), {"__name__": "__main__"})
     assert capsys.readouterr().out

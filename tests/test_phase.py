@@ -70,46 +70,39 @@ def test_phase_curve_boson_monotone_in_spin():
         assert spin_one.critical_temperature < spinless.critical_temperature
 
 
-def test_work_grid_shape_and_values():
+def test_phase_point_work_values():
     spin = SpinStatistics.fermion(1)
-    grid = phase.work_grid(phase.phase_curve(spin, GEOM, [1, 2, 3]), [0.0, 0.5, 1.0])
-    assert grid.work.shape == (3, 3)
+    temps = np.array([0.0, 0.5, 1.0])
+    works = [point.work(temps) for point in phase.phase_curve(spin, GEOM, [1, 2, 3])]
     # spin-1/2: W_0F = 0, so work is slope * kT everywhere
     coeffs = fermion.work_coefficients(decompose(2, 1), GEOM)
-    assert grid.work[1, 2] == pytest.approx(coeffs.slope * BOLTZMANN * 1.0, rel=1e-12)
-    assert np.all(grid.work[:, 0] == 0.0)
+    assert works[1][2] == pytest.approx(coeffs.slope * BOLTZMANN * 1.0, rel=1e-12)
+    assert all(work.shape == (3,) and work[0] == 0.0 for work in works)
 
 
-def test_work_grid_sign_flip_brackets_tc():
+def test_phase_point_work_sign_flip_brackets_tc():
     spin = SpinStatistics.fermion(9)
     tc = 0.2634385021895925
     temps = np.linspace(0.0, 0.6, 61)
-    grid = phase.work_grid(phase.phase_curve(spin, GEOM, [3]), temps)
-    signs = np.sign(grid.work[0])
+    signs = np.sign(phase.phase_curve(spin, GEOM, [3])[0].work(temps))
     flips = np.nonzero(np.diff(signs) > 0)[0]
     assert len(flips) == 1
     assert temps[flips[0]] <= tc <= temps[flips[0] + 1]
 
 
-def test_work_grid_validation():
-    spin = SpinStatistics.fermion(1)
+def test_phase_point_work_rejects_negative_temperature():
+    (point,) = phase.phase_curve(SpinStatistics.fermion(1), GEOM, [1])
     with pytest.raises(ValueError):
-        phase.work_grid([], [1.0])
-    with pytest.raises(ValueError):
-        phase.work_grid(phase.phase_curve(spin, GEOM, [1]), [-1.0])
+        point.work(np.array([0.5, -1.0]))
 
 
 @pytest.mark.parametrize("spin", [SpinStatistics.fermion(9), SpinStatistics.boson(2)], ids=["f9", "b2"])
-def test_work_grid_is_the_affine_law_bit_for_bit(spin):
+def test_phase_point_work_is_total_work_bit_for_bit(spin):
     temps = np.linspace(0.0, 1.0, 21)
-    points = phase.phase_curve(spin, GEOM, range(0, 45))
-    grid = phase.work_grid(points, temps)
-    assert grid.n_values.tolist() == list(range(0, 45))
-    assert grid.temperatures.tolist() == temps.tolist()
-    for row, point in zip(grid.work, points):
-        coeffs = point.coefficients
-        expected = coeffs.slope * BOLTZMANN * temps - coeffs.absorbed
-        assert row.tobytes() == expected.tobytes()
+    for point in phase.phase_curve(spin, GEOM, range(0, 45)):
+        works = point.work(temps).tolist()
+        expected = [point.coefficients.total_work(ThermalPoint(T)) for T in temps.tolist()]
+        assert [w.hex() for w in works] == [w.hex() for w in expected]
 
 
 def test_phase_point_reads_its_coefficients():
