@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 from .combinatorics import binomial
 from .core import WellGeometry, WorkDecomposition
-from .equilibrium import boson_eq_ratio, level_split, wall_position
+from .equilibrium import boson_eq_ratio, level_splits
 from .information import (  # noqa: F401  (re-exported species-agnostic path)
-    Outcome,
     measurement_distribution,
     relative_entropy_work,
     total_work,
@@ -38,11 +37,19 @@ class BosonFilling:
     def support(self) -> range:
         return range(0, self.N + 1)
 
-    def outcome(self, m: int) -> Outcome:
+    @property
+    def level(self) -> int:
+        """Every boson condenses onto the ground level of its half."""
+        return 1
+
+    def ways(self, ms: range) -> list[int]:
         """m bosons in the 2s+1 left and N-m in the 2s+1 right ground-level modes."""
         s2 = 2 * self.s
-        ways = binomial(m + s2, s2) * binomial(self.N - m + s2, s2)
-        return Outcome(ways, 1, boson_eq_ratio(m, self.N))
+        return [binomial(m + s2, s2) * binomial(self.N - m + s2, s2) for m in ms]
+
+    def ratios(self, ms: range) -> list[float]:
+        """The cubic-rule wall ratio (m/(N-m))^(1/3) of each outcome m."""
+        return [boson_eq_ratio(m, self.N) for m in ms]
 
 
 def large_spin_limits(N: int, geometry: WellGeometry) -> WorkDecomposition:
@@ -57,9 +64,10 @@ def large_spin_limits(N: int, geometry: WellGeometry) -> WorkDecomposition:
     else:
         slope = (1.0 - math.comb(N, N // 2) / 2**N) * N * math.log(2.0)
         upper = N // 2 - 1
+    ms = range(1, upper + 1)
+    splits = level_splits(1, [boson_eq_ratio(m, N) for m in ms], geometry)
     absorbed = 0.0
-    for m in range(1, upper + 1):
-        wall = wall_position(boson_eq_ratio(m, N), geometry)
+    for m, split in zip(ms, splits.tolist()):
         # exact integer division: m C(N, m) and 2^N overflow a float from N = 1021
-        absorbed += m * math.comb(N, m) / 2 ** (N - 1) * level_split(1, wall, geometry)
+        absorbed += m * math.comb(N, m) / 2 ** (N - 1) * split
     return WorkDecomposition(slope=slope, absorbed=absorbed)

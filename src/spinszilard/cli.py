@@ -443,6 +443,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     cycle = oracle.ensemble_cycle(N, spin, geometry, thermal)
     filling = phase.filling(spin, N)
     table = information.outcome_table(filling, geometry)
+    ratios = filling.ratios(filling.support)
     analytic_work = table.work_coefficients().total_work(thermal)
 
     rows = []
@@ -454,8 +455,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         leq_exact = cycle.equilibria[m].position / L
         leq_analytic: float | None = None
         if m in filling.support:
-            f_analytic = float(table.f[m - filling.support[0]])
-            leq_analytic = wall_position(filling.outcome(m).ratio, geometry).position / L
+            row = m - filling.support[0]
+            f_analytic = float(table.f[row])
+            leq_analytic = wall_position(ratios[row], geometry).position / L
         delta_f = abs(f_exact - f_analytic)
         max_df = max(max_df, delta_f)
         delta_l = abs(leq_exact - leq_analytic) if leq_analytic is not None else 0.0

@@ -109,15 +109,19 @@ class ThermalPoint:
         return 1.0 / (BOLTZMANN * self.temperature)
 
 
-def level_energy(n: int, width: float, geometry: WellGeometry) -> float:
-    """Energy of level ``n`` of an infinite well of the given width.
+def level_energy(n: int, width: float | np.ndarray, geometry: WellGeometry) -> float | np.ndarray:
+    """Energy of level ``n`` of an infinite well of the given width, or of each width.
 
     E_n = n^2 pi^2 hbar^2 / (2 M width^2); strictly increasing in n and
-    strictly decreasing in width.
+    strictly decreasing in width. A width array gives each element the same
+    operations in the same order as a scalar width, so the same bits.
     """
     if n < 1:
         raise ValueError(f"level index must be >= 1, got {n}")
-    if not (width > 0):
+    # a NaN minimum fails the test too; the scalar branch keeps numpy out of the
+    # oracle's box DP, which calls this once per level
+    positive = width.min(initial=math.inf) > 0 if isinstance(width, np.ndarray) else width > 0
+    if not positive:
         raise ValueError(f"width must be > 0, got {width}")
     return (n * n) * math.pi**2 * HBAR**2 / (2.0 * geometry.mass * width * width)
 

@@ -11,11 +11,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import HBAR, WellGeometry, level_energy
 
 
 class WallAtBoundaryError(ValueError):
     """Raised when a level splitting is requested with the wall at a box end."""
+
+
+_AT_BOUNDARY = (
+    "level splitting is undefined with the wall at a box end; "
+    "the measurement weight is 1 there by convention"
+)
 
 
 @dataclass(frozen=True)
@@ -71,13 +79,29 @@ def wall_position(ratio: float, geometry: WellGeometry) -> WallPosition:
 def level_split(level: int, wall: WallPosition, geometry: WellGeometry) -> float:
     """Exact |E_level(l_eq) - E_level(L - l_eq)| for an interior wall."""
     if wall.at_boundary:
-        raise WallAtBoundaryError(
-            "level splitting is undefined with the wall at a box end; "
-            "the measurement weight is 1 there by convention"
-        )
+        raise WallAtBoundaryError(_AT_BOUNDARY)
     left = wall.position
     right = geometry.length - wall.position
     return abs(level_energy(level, left, geometry) - level_energy(level, right, geometry))
+
+
+def level_splits(level: int, ratios: list[float], geometry: WellGeometry) -> np.ndarray:
+    """``level_split`` at the wall of each interior ratio, as one numpy column.
+
+    Each element takes the scalar path's operations in its order (l = L r/(1+r),
+    then |E(l) - E(L - l)|), so it carries the same bits.
+    """
+    column = np.array(ratios, dtype=np.float64)
+    # a NaN ratio makes the minimum NaN, which fails the first test
+    low, high = column.min(initial=math.inf), column.max(initial=1.0)
+    if not low >= 0:
+        raise ValueError(f"ratios must be >= 0 (or inf), got {ratios}")
+    if low == 0.0 or high == math.inf:
+        raise WallAtBoundaryError(_AT_BOUNDARY)
+    left = geometry.length * column / (1.0 + column)
+    # one level_energy call on both widths, row 0 left of the wall and row 1 right
+    energies = level_energy(level, np.array([left, geometry.length - left]), geometry)
+    return np.abs(energies[0] - energies[1])
 
 
 def level_split_large_n(u: int, n: int, k: int, p: int, geometry: WellGeometry) -> float:

@@ -15,7 +15,6 @@ from .combinatorics import binomial
 from .core import HBAR, WellGeometry
 from .equilibrium import fermion_eq_ratio
 from .information import (  # noqa: F401  (re-exported species-agnostic path)
-    Outcome,
     measurement_distribution,
     relative_entropy_work,
     total_work,
@@ -38,12 +37,21 @@ class FermionFilling:
         base = 2 * self.u * self.n
         return range(base + max(0, self.k - 2 * self.u), base + min(self.k, 2 * self.u) + 1)
 
-    def outcome(self, m: int) -> Outcome:
-        """Outcome m leaves p = m - 2un of the remainder particles on the left."""
+    @property
+    def level(self) -> int:
+        """The partly filled level, n + 1."""
+        return self.n + 1
+
+    def ways(self, ms: range) -> list[int]:
+        """C(2u, p) C(2u, k-p) for each outcome m, which leaves p = m - 2un on the left."""
         u2 = 2 * self.u
-        p = m - u2 * self.n
-        ways = binomial(u2, p) * binomial(u2, self.k - p)
-        return Outcome(ways, self.n + 1, fermion_eq_ratio(self.u, self.n, self.k, p))
+        base = u2 * self.n
+        return [binomial(u2, m - base) * binomial(u2, self.k - m + base) for m in ms]
+
+    def ratios(self, ms: range) -> list[float]:
+        """The cubic-rule wall ratio of each outcome m, with p = m - 2un."""
+        base = 2 * self.u * self.n
+        return [fermion_eq_ratio(self.u, self.n, self.k, m - base) for m in ms]
 
 
 def decompose(N: int, u: int) -> FermionFilling:

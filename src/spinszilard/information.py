@@ -1,15 +1,19 @@
 """The closed-form observables, one path for both species.
 
-A species' filling type is its support and its row builder ``outcome(m)``,
-which counts the configurations of the remainder that give outcome m.
-``outcome_table`` builds the lighter half of the support and mirrors it
-(m <-> lo + hi - m): the total count is twice the lighter half's less the
+A species' filling type is its support, the partly filled ``level`` whose
+splitting sets f_m*, and two column builders over a range of outcomes:
+``ways(ms)``, the exact configuration counts of the remainder, and
+``ratios(ms)``, the cubic-rule wall ratios l/(L - l). ``outcome_table`` calls
+each once per table, on the lighter half of the support only, and mirrors the
+rest (m <-> lo + hi - m): the total count is twice the lighter half's less the
 central outcome, and the edge count (all of the remainder on one side) is the
-first row's. It turns the counts into one ``OutcomeTable`` of numpy columns
-over the support: f_m, ln f_m, and lw_m and c_m of ln f_m* = lw_m - beta c_m,
-with lw_m = ln(ways/edge ways) and c_m = mu_m dE_m (mu_m remainder particles
-on the lighter side, dE_m the level splitting at the wall). Every observable
-is a reduction over that table, for both species.
+first one. The counts stay exact Python integers and their logs are taken of
+the integers; the level splittings of every interior wall are one numpy
+expression (``equilibrium.level_splits``). The result is one ``OutcomeTable``
+of numpy columns over the support: f_m, ln f_m, and lw_m and c_m of
+ln f_m* = lw_m - beta c_m, with lw_m = ln(ways/edge ways) and c_m = mu_m dE_m
+(mu_m remainder particles on the lighter side, dE_m the level splitting at
+the wall). Every observable is a reduction over that table, for both species.
 
 Entropies are kept in nats throughout (one bit = ln 2 nats); the erasure
 cost k_B T H(f) is identical either way and nats avoid conversion factors
@@ -29,24 +33,21 @@ from .core import (
     WellGeometry,
     WorkDecomposition,
 )
-from .equilibrium import level_split, wall_position
-
-
-class Outcome(NamedTuple):
-    """One measurement outcome m, as a species' row builder returns it."""
-
-    ways: int  # configurations of the remainder that give outcome m
-    level: int  # the partly filled level, whose splitting sets f_m*
-    ratio: float  # analytic equilibrium wall ratio l/(L - l)
+from .equilibrium import level_splits
 
 
 class Filling(Protocol):
-    """A species' filling type: its outcomes, ascending, and its row builder."""
+    """A species' filling type: its outcomes, ascending, and its column builders."""
 
     @property
     def support(self) -> range: ...
 
-    def outcome(self, m: int) -> Outcome: ...
+    @property
+    def level(self) -> int: ...
+
+    def ways(self, ms: range) -> list[int]: ...
+
+    def ratios(self, ms: range) -> list[float]: ...
 
 
 class OutcomeTable(NamedTuple):
@@ -98,23 +99,21 @@ class UndefinedEfficiencyError(ValueError):
     """Measurement outcome is deterministic: zero erasure work, no efficiency."""
 
 
-def _light_half(filling: Filling) -> tuple[list[Outcome], int]:
-    """Outcomes of the lighter half of the support, ascending, and the ways of all outcomes.
+def _light_ways(filling: Filling) -> tuple[list[int], int]:
+    """Counts of the lighter half of the support, ascending, and the count of all outcomes.
 
     The counts are mirror-symmetric, so the total is twice the lighter half's,
     less the central outcome's once (Vandermonde's identity, as an exact integer).
     """
-    support = filling.support
-    outcomes = [filling.outcome(m) for m in support[: (len(support) + 1) // 2]]
-    total = 2 * sum(out.ways for out in outcomes)
-    if len(support) % 2:
-        total -= outcomes[-1].ways
-    return outcomes, total
+    size = len(filling.support)
+    ways = filling.ways(filling.support[: (size + 1) // 2])
+    total = 2 * sum(ways) - (ways[-1] if size % 2 else 0)
+    return ways, total
 
 
-def _mirror(light: list[float], size: int) -> np.ndarray:
-    """A lighter-half column extended to all ``size`` outcomes by m <-> lo + hi - m."""
-    return np.array(light + light[: size // 2][::-1])
+def _mirror(light: np.ndarray, size: int) -> np.ndarray:
+    """Lighter-half columns (last axis) extended to all ``size`` outcomes by m <-> lo + hi - m."""
+    return np.concatenate((light, light[..., : size // 2][..., ::-1]), axis=-1)
 
 
 def outcome_table(filling: Filling, geometry: WellGeometry) -> OutcomeTable:
@@ -123,34 +122,35 @@ def outcome_table(filling: Filling, geometry: WellGeometry) -> OutcomeTable:
     Only the lighter half is built; the other half mirrors it, so every column is
     bitwise symmetric and each mirror pair costs one level splitting.
     """
-    size = len(filling.support)
-    outcomes, total = _light_half(filling)
-    log_total, log_edge = math.log(total), math.log(outcomes[0].ways)
-    f, log_f, lw, c = [], [], [], []
-    for mu, out in enumerate(outcomes):
-        f.append(out.ways / total)
-        log_ways = math.log(out.ways)
-        log_f.append(log_ways - log_total)
-        # the central outcome's symmetric load keeps the wall at L/2, so f* = f
-        # there; every other outcome is normalized by the edge outcome
-        central = 2 * mu == size - 1
-        lw.append(log_ways - (log_total if central else log_edge))
-        if mu and not central:
-            wall = wall_position(out.ratio, geometry)
-            c.append(mu * level_split(out.level, wall, geometry))
-        else:
-            c.append(0.0)
-    columns = (_mirror(column, size) for column in (f, log_f, lw, c))
-    return OutcomeTable(np.array(filling.support, dtype=np.int64), *columns)
+    support = filling.support
+    size = len(support)
+    ways, total = _light_ways(filling)
+    log_ways = np.array([math.log(w) for w in ways])
+    log_f = log_ways - math.log(total)
+    # every outcome is normalized by the edge outcome, but the central one's
+    # symmetric load keeps the wall at L/2, so f* = f there
+    lw = log_ways - log_ways[0]
+    if size % 2:
+        lw[-1] = log_f[-1]
+    # mu remainder particles on the lighter side; the edge (mu = 0) and the
+    # central outcome carry no splitting
+    interior = slice(1, size // 2)
+    c = np.zeros(len(ways))
+    c[interior] = np.arange(1, size // 2) * level_splits(
+        filling.level, filling.ratios(support[interior]), geometry
+    )
+    light = np.array([[w / total for w in ways], log_f, lw, c])
+    f, log_f, lw, c = _mirror(light, size)
+    return OutcomeTable(np.array(support, dtype=np.int64), f, log_f, lw, c)
 
 
 def measurement_distribution(filling: Filling) -> MeasurementDistribution:
     """Probabilities f_m over the ground-state support; symmetric under the mirror."""
     support = filling.support
-    outcomes, total = _light_half(filling)
+    ways, total = _light_ways(filling)
     return MeasurementDistribution(
         support=np.array(support, dtype=np.int64),
-        probabilities=_mirror([out.ways / total for out in outcomes], len(support)),
+        probabilities=_mirror(np.array([w / total for w in ways]), len(support)),
     )
 
 

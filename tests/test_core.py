@@ -39,6 +39,10 @@ def test_level_energy_domain_errors():
         level_energy(0, 1e-9, GEOM)
     with pytest.raises(ValueError):
         level_energy(1, 0.0, GEOM)
+    # a width column is guarded as a whole: one bad element raises, never inf or nan
+    for bad in (0.0, -1e-9, math.nan):
+        with pytest.raises(ValueError):
+            level_energy(1, np.array([1e-9, bad, 0.5e-9]), GEOM)
 
 
 def test_reference_energy_scalings():

@@ -9,6 +9,7 @@ from spinszilard.equilibrium import (
     fermion_eq_ratio,
     level_split,
     level_split_large_n,
+    level_splits,
     wall_position,
 )
 
@@ -78,6 +79,13 @@ def test_wall_boundary_flag_and_split_error():
     assert not wall_position(1.0, GEOM).at_boundary
     with pytest.raises(WallAtBoundaryError):
         level_split(1, wall_position(0.0, GEOM), GEOM)
+    # the column form raises on any boundary ratio instead of returning inf or nan
+    for boundary in (0.0, math.inf):
+        with pytest.raises(WallAtBoundaryError):
+            level_splits(1, [0.5, boundary, 2.0], GEOM)
+    with pytest.raises(ValueError):
+        level_splits(1, [0.5, -0.5], GEOM)
+    assert level_splits(1, [], GEOM).tolist() == []
 
 
 def test_level_split_values():

@@ -6,6 +6,7 @@ import pytest
 
 from spinszilard import fermion, information, phase
 from spinszilard.boson import BosonFilling
+from spinszilard.combinatorics import binomial
 from spinszilard.core import (
     BOLTZMANN,
     MeasurementDistribution,
@@ -14,6 +15,7 @@ from spinszilard.core import (
     ThermalPoint,
     WellGeometry,
 )
+from spinszilard.equilibrium import boson_eq_ratio, fermion_eq_ratio, level_split, wall_position
 from spinszilard.fermion import decompose
 
 GEOM = WellGeometry(length=1e-9, mass=1e-26)
@@ -222,3 +224,81 @@ def test_outcome_table_at_large_spin(filling):
     assert all(math.isfinite(x) for x in log_fstar)
     for m in (filling.support[0], filling.support[len(probs) // 3], filling.support[-1]):
         assert math.isfinite(log_fstar[m - filling.support[0]])
+
+
+def reference_rows(filling):
+    """(ways, level, ratio) of each outcome m, one scalar call per row."""
+    if isinstance(filling, BosonFilling):
+        s2, N = 2 * filling.s, filling.N
+        return [
+            (binomial(m + s2, s2) * binomial(N - m + s2, s2), 1, boson_eq_ratio(m, N))
+            for m in filling.support
+        ]
+    u2 = 2 * filling.u
+    rows = []
+    for m in filling.support:
+        p = m - u2 * filling.n
+        ways = binomial(u2, p) * binomial(u2, filling.k - p)
+        rows.append((ways, filling.n + 1, fermion_eq_ratio(filling.u, filling.n, filling.k, p)))
+    return rows
+
+
+def reference_table(filling, geometry):
+    """The five table columns built row by row from scalars: lighter half, then its mirror."""
+    size = len(filling.support)
+    light = reference_rows(filling)[: (size + 1) // 2]
+    total = 2 * sum(ways for ways, _, _ in light) - (light[-1][0] if size % 2 else 0)
+    f, log_f, lw, c = [], [], [], []
+    for mu, (ways, level, ratio) in enumerate(light):
+        central = 2 * mu == size - 1
+        f.append(ways / total)
+        log_f.append(math.log(ways) - math.log(total))
+        lw.append(math.log(ways) - (math.log(total) if central else math.log(light[0][0])))
+        if mu and not central:
+            c.append(mu * level_split(level, wall_position(ratio, geometry), geometry))
+        else:
+            c.append(0.0)
+    return [list(filling.support)] + [col + col[: size // 2][::-1] for col in (f, log_f, lw, c)]
+
+
+@pytest.mark.parametrize(
+    "geometry", [GEOM, WellGeometry(length=3.7e-8, mass=6.6e-27)], ids=["nm", "wide"]
+)
+@pytest.mark.parametrize(
+    "filling",
+    # an empty well and a closed shell (one outcome each), odd and even supports, particle and
+    # hole cases, n = 0 and n > 0, and counts far past the float range
+    [decompose(N, u) for N, u in [(0, 1), (4, 1), (1, 1), (2, 1), (7, 1), (3, 5), (23, 5), (17, 5)]]
+    + [decompose(N, u) for N, u in [(37, 5), (126, 3), (519, 20), (2001, 1001)]]
+    + [BosonFilling(N=N, s=s) for N, s in [(0, 2), (1, 0), (2, 0), (6, 1), (11, 4), (40, 7)]]
+    + [BosonFilling(N=N, s=s) for N, s in [(519, 20), (2000, 1000)]],
+    ids=repr,
+)
+def test_outcome_table_is_the_row_by_row_table_bit_for_bit(filling, geometry):
+    """Every column, and the distribution, carries the bits of a scalar row-by-row build."""
+    expected = reference_table(filling, geometry)
+    table = information.outcome_table(filling, geometry)
+    assert [column.tolist() for column in table] == expected
+    dist = information.measurement_distribution(filling)
+    assert [dist.support.tolist(), dist.probabilities.tolist()] == expected[:2]
+
+
+@pytest.mark.parametrize(
+    "filling", [decompose(23, 5), decompose(126, 3), BosonFilling(N=40, s=7)], ids=repr
+)
+def test_outcome_table_builds_each_column_once(filling, monkeypatch):
+    """One ``ways`` and one ``ratios`` call per table, however long the support."""
+    calls = {"ways": 0, "ratios": 0}
+    kind = type(filling)
+    for name in calls:
+        builder = getattr(kind, name)
+
+        def counted(self, ms, builder=builder, name=name):
+            calls[name] += 1
+            return builder(self, ms)
+
+        monkeypatch.setattr(kind, name, counted)
+    information.outcome_table(filling, GEOM)
+    assert calls == {"ways": 1, "ratios": 1}
+    information.measurement_distribution(filling)
+    assert calls == {"ways": 2, "ratios": 1}

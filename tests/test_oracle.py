@@ -179,9 +179,10 @@ def test_cold_walls_are_the_cubic_rule_walls(spin):
     for N in range(2, 7):
         fill = filling(spin, N)
         walls = oracle.exact_equilibria(N, spin, GEOM, thermal_at(0.02))
+        ratios = fill.ratios(fill.support)
         for m in range(1, N):
             if m in fill.support:
-                ratio = fill.outcome(m).ratio
+                ratio = ratios[m - fill.support[0]]
             else:
                 # off the support only fermions: the filled-level balance
                 left, right = (fermion_ground_pressure(c, spin.degeneracy) for c in (m, N - m))
