@@ -7,9 +7,10 @@ weights count (2s+1)-fold degenerate bosonic occupations.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
-from .combinatorics import binomial
+from .combinatorics import binomial_diagonal, binomial_row
 from .core import WellGeometry, WorkDecomposition
 from .equilibrium import boson_eq_ratio, level_splits
 from .information import (  # noqa: F401  (re-exported species-agnostic path)
@@ -43,9 +44,16 @@ class BosonFilling:
         return 1
 
     def ways(self, ms: range) -> list[int]:
-        """m bosons in the 2s+1 left and N-m in the 2s+1 right ground-level modes."""
+        """m bosons in the 2s+1 left and N-m in the 2s+1 right ground-level modes.
+
+        C(m+2s, m) descends a diagonal as m rises, and C(N-m+2s, N-m) as m falls,
+        so the right factor is that run read in reverse.
+        """
         s2 = 2 * self.s
-        return [binomial(m + s2, s2) * binomial(self.N - m + s2, s2) for m in ms]
+        fewest = self.N - ms.start - len(ms) + 1  # bosons on the right at the last m
+        left = binomial_diagonal(ms.start + s2, ms.start, len(ms))
+        right = binomial_diagonal(fewest + s2, fewest, len(ms))
+        return list(map(operator.mul, left, reversed(right)))
 
     def ratios(self, ms: range) -> list[float]:
         """The cubic-rule wall ratio (m/(N-m))^(1/3) of each outcome m."""
@@ -66,8 +74,9 @@ def large_spin_limits(N: int, geometry: WellGeometry) -> WorkDecomposition:
         upper = N // 2 - 1
     ms = range(1, upper + 1)
     splits = level_splits(1, [boson_eq_ratio(m, N) for m in ms], geometry)
+    scale = 2 ** (N - 1)
     absorbed = 0.0
-    for m, split in zip(ms, splits.tolist()):
+    for m, count, split in zip(ms, binomial_row(N, 1, upper), splits.tolist()):
         # exact integer division: m C(N, m) and 2^N overflow a float from N = 1021
-        absorbed += m * math.comb(N, m) / 2 ** (N - 1) * split
+        absorbed += m * count / scale * split
     return WorkDecomposition(slope=slope, absorbed=absorbed)

@@ -76,19 +76,10 @@ def wall_position(ratio: float, geometry: WellGeometry) -> WallPosition:
     return WallPosition(ratio=ratio, position=geometry.length * ratio / (1.0 + ratio))
 
 
-def level_split(level: int, wall: WallPosition, geometry: WellGeometry) -> float:
-    """Exact |E_level(l_eq) - E_level(L - l_eq)| for an interior wall."""
-    if wall.at_boundary:
-        raise WallAtBoundaryError(_AT_BOUNDARY)
-    left = wall.position
-    right = geometry.length - wall.position
-    return abs(level_energy(level, left, geometry) - level_energy(level, right, geometry))
-
-
 def level_splits(level: int, ratios: list[float], geometry: WellGeometry) -> np.ndarray:
-    """``level_split`` at the wall of each interior ratio, as one numpy column.
+    """Exact |E_level(l_eq) - E_level(L - l_eq)| at each interior ratio's wall, as a numpy column.
 
-    Each element takes the scalar path's operations in its order (l = L r/(1+r),
+    Each element takes a scalar evaluation's operations in its order (l = L r/(1+r),
     then |E(l) - E(L - l)|), so it carries the same bits.
     """
     column = np.array(ratios, dtype=np.float64)

@@ -9,9 +9,10 @@ it counts the unoccupied states (holes) instead, which gives the same counts.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
-from .combinatorics import binomial
+from .combinatorics import binomial_row
 from .core import HBAR, WellGeometry
 from .equilibrium import fermion_eq_ratio
 from .information import (  # noqa: F401  (re-exported species-agnostic path)
@@ -43,10 +44,15 @@ class FermionFilling:
         return self.n + 1
 
     def ways(self, ms: range) -> list[int]:
-        """C(2u, p) C(2u, k-p) for each outcome m, which leaves p = m - 2un on the left."""
+        """C(2u, p) C(2u, k-p) for each outcome m, which leaves p = m - 2un on the left.
+
+        Both factors ascend row 2u as m rises, C(2u, k-p) as C(2u, 2u - k + p).
+        """
         u2 = 2 * self.u
-        base = u2 * self.n
-        return [binomial(u2, m - base) * binomial(u2, self.k - m + base) for m in ms]
+        p = ms.start - u2 * self.n
+        left = binomial_row(u2, p, len(ms))
+        right = binomial_row(u2, u2 - self.k + p, len(ms))
+        return list(map(operator.mul, left, right))
 
     def ratios(self, ms: range) -> list[float]:
         """The cubic-rule wall ratio of each outcome m, with p = m - 2un."""

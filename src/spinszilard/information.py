@@ -45,7 +45,15 @@ class Filling(Protocol):
     @property
     def level(self) -> int: ...
 
-    def ways(self, ms: range) -> list[int]: ...
+    def ways(self, ms: range) -> list[int]:
+        """Exact configuration counts of the outcomes ``ms``.
+
+        ``ms`` is a contiguous ascending slice of ``support``. Each count is a
+        product of binomials, and each factor comes as one run over ``ms``,
+        seeded by a single ``math.comb`` and stepped exactly from it
+        (``combinatorics.binomial_row``, ``binomial_diagonal``).
+        """
+        ...
 
     def ratios(self, ms: range) -> list[float]: ...
 

@@ -5,6 +5,7 @@ import pytest
 from spinszilard import boson, information
 from spinszilard.boson import BosonFilling
 from spinszilard.core import BOLTZMANN, ThermalPoint, WellGeometry
+from spinszilard.equilibrium import boson_eq_ratio, level_splits
 
 GEOM = WellGeometry(length=1e-9, mass=1e-26)
 E0 = GEOM.reference_energy
@@ -127,6 +128,18 @@ def test_large_spin_limits_small_n():
     assert three.absorbed == pytest.approx(7.778895291621716e-24, rel=1e-12)
     with pytest.raises(ValueError):
         boson.large_spin_limits(-1, GEOM)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 11, 200, 1023, 1500])
+def test_large_spin_limits_match_one_comb_per_outcome(N):
+    """The row-stepped counts carry the bits of one ``math.comb`` per outcome, past N = 1021 too."""
+    upper = (N - 1) // 2 if N % 2 else N // 2 - 1
+    ms = range(1, upper + 1)
+    splits = level_splits(1, [boson_eq_ratio(m, N) for m in ms], GEOM).tolist()
+    absorbed = 0.0
+    for m, split in zip(ms, splits):
+        absorbed += m * math.comb(N, m) / 2 ** (N - 1) * split
+    assert boson.large_spin_limits(N, GEOM).absorbed == absorbed
 
 
 def test_coefficients_approach_large_spin_limits():

@@ -1,9 +1,9 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from spinszilard.combinatorics import binomial, bose_state_count
+from spinszilard.combinatorics import binomial, binomial_diagonal, binomial_row, bose_state_count
 
 
 def test_binomial_edges():
@@ -20,6 +20,47 @@ def test_binomial_edges():
 def test_binomial_matches_math_comb(a, b):
     expected = math.comb(a, b) if 0 <= b <= a else 0
     assert binomial(a, b) == expected
+
+
+@st.composite
+def row_runs(draw):
+    """(n, b, count) of a run C(n, b) .. C(n, b + count - 1) that stays inside row n."""
+    n = draw(st.integers(0, 300))
+    b = draw(st.integers(0, n))
+    return n, b, draw(st.integers(0, n - b + 1))
+
+
+@given(row_runs())
+@example((7, 3, 0))
+@example((7, 3, 1))
+@example((9, 0, 10))  # the whole row: starts at b = 0 and ends at b = n
+@example((12, 5, 8))  # ends at b = n
+def test_binomial_row_matches_math_comb(run):
+    n, b, count = run
+    assert binomial_row(n, b, count) == [math.comb(n, j) for j in range(b, b + count)]
+
+
+@given(st.integers(0, 300).flatmap(lambda a: st.tuples(st.just(a), st.integers(0, a))),
+       st.integers(0, 300))
+@example((7, 3), 0)
+@example((7, 3), 1)
+@example((0, 0), 40)  # starts at b = 0
+@example((250, 250), 50)  # C(a, a) = 1 all the way down
+def test_binomial_diagonal_matches_math_comb(start, count):
+    a, b = start
+    assert binomial_diagonal(a, b, count) == [math.comb(a + j, b + j) for j in range(count)]
+
+
+@pytest.mark.parametrize("n,b,count", [(5, -1, 2), (5, 3, 4), (5, 0, -1)])
+def test_binomial_row_out_of_range(n, b, count):
+    with pytest.raises(ValueError):
+        binomial_row(n, b, count)
+
+
+@pytest.mark.parametrize("a,b,count", [(3, 4, 1), (3, -1, 1), (3, 1, -1)])
+def test_binomial_diagonal_out_of_range(a, b, count):
+    with pytest.raises(ValueError):
+        binomial_diagonal(a, b, count)
 
 
 def test_bose_state_count():

@@ -7,7 +7,6 @@ from spinszilard.equilibrium import (
     WallAtBoundaryError,
     boson_eq_ratio,
     fermion_eq_ratio,
-    level_split,
     level_split_large_n,
     level_splits,
     wall_position,
@@ -78,7 +77,7 @@ def test_wall_boundary_flag_and_split_error():
     assert wall_position(math.inf, GEOM).at_boundary
     assert not wall_position(1.0, GEOM).at_boundary
     with pytest.raises(WallAtBoundaryError):
-        level_split(1, wall_position(0.0, GEOM), GEOM)
+        level_splits(1, [0.0], GEOM)
     # the column form raises on any boundary ratio instead of returning inf or nan
     for boundary in (0.0, math.inf):
         with pytest.raises(WallAtBoundaryError):
@@ -90,20 +89,20 @@ def test_wall_boundary_flag_and_split_error():
 
 def test_level_split_values():
     # frozen: level-1 splitting at the r^3 = 1/2 equilibrium position
-    wall = wall_position(0.5 ** (1 / 3), GEOM)
-    assert level_split(1, wall, GEOM) == pytest.approx(1.0371860388828955e-23, rel=1e-12)
+    ratio = 0.5 ** (1 / 3)
+    assert level_splits(1, [ratio], GEOM)[0] == pytest.approx(1.0371860388828955e-23, rel=1e-12)
     # symmetric wall: zero splitting
-    assert level_split(1, wall_position(1.0, GEOM), GEOM) == 0.0
+    assert level_splits(1, [1.0], GEOM)[0] == 0.0
     # level scaling: delta_e grows as level^2
-    d1 = level_split(1, wall, GEOM)
-    d3 = level_split(3, wall, GEOM)
+    d1 = level_splits(1, [ratio], GEOM)[0]
+    d3 = level_splits(3, [ratio], GEOM)[0]
     assert d3 == pytest.approx(9 * d1, rel=1e-12)
 
 
 def test_level_split_reflection():
-    wall_a = wall_position(2.0, GEOM)
-    wall_b = wall_position(0.5, GEOM)
-    assert level_split(2, wall_a, GEOM) == pytest.approx(level_split(2, wall_b, GEOM), rel=1e-12)
+    split_a = level_splits(2, [2.0], GEOM)[0]
+    split_b = level_splits(2, [0.5], GEOM)[0]
+    assert split_a == pytest.approx(split_b, rel=1e-12)
 
 
 @pytest.mark.parametrize("n,bound", [(10, 0.15), (100, 0.02)])
@@ -114,7 +113,7 @@ def test_large_n_split_agreement(n, bound):
             if 2 * p == k:
                 continue
             ratio = fermion_eq_ratio(u, n, k, p)
-            exact = level_split(n + 1, wall_position(ratio, GEOM), GEOM)
+            exact = level_splits(n + 1, [ratio], GEOM)[0]
             approx = level_split_large_n(u, n, k, p, GEOM)
             assert abs(exact - approx) / exact < bound
 

@@ -14,8 +14,9 @@ from spinszilard.core import (
     SpinStatistics,
     ThermalPoint,
     WellGeometry,
+    level_energy,
 )
-from spinszilard.equilibrium import boson_eq_ratio, fermion_eq_ratio, level_split, wall_position
+from spinszilard.equilibrium import boson_eq_ratio, fermion_eq_ratio, wall_position
 from spinszilard.fermion import decompose
 
 GEOM = WellGeometry(length=1e-9, mass=1e-26)
@@ -243,6 +244,15 @@ def reference_rows(filling):
     return rows
 
 
+def level_split(level, ratio, geometry):
+    """Exact |E_level(l) - E_level(L - l)| at one interior wall, from scalars."""
+    wall = wall_position(ratio, geometry)
+    assert not wall.at_boundary
+    left = wall.position
+    right = geometry.length - wall.position
+    return abs(level_energy(level, left, geometry) - level_energy(level, right, geometry))
+
+
 def reference_table(filling, geometry):
     """The five table columns built row by row from scalars: lighter half, then its mirror."""
     size = len(filling.support)
@@ -255,7 +265,7 @@ def reference_table(filling, geometry):
         log_f.append(math.log(ways) - math.log(total))
         lw.append(math.log(ways) - (math.log(total) if central else math.log(light[0][0])))
         if mu and not central:
-            c.append(mu * level_split(level, wall_position(ratio, geometry), geometry))
+            c.append(mu * level_split(level, ratio, geometry))
         else:
             c.append(0.0)
     return [list(filling.support)] + [col + col[: size // 2][::-1] for col in (f, log_f, lw, c)]
@@ -302,3 +312,20 @@ def test_outcome_table_builds_each_column_once(filling, monkeypatch):
     assert calls == {"ways": 1, "ratios": 1}
     information.measurement_distribution(filling)
     assert calls == {"ways": 2, "ratios": 1}
+
+
+@pytest.mark.parametrize(
+    "filling", [decompose(2001, 1001), BosonFilling(N=2000, s=1000)], ids=["fermion", "boson"]
+)
+def test_ways_seeds_each_run_with_one_comb(filling, monkeypatch):
+    """One ``ways`` call makes at most two seed ``math.comb`` calls, however long the support."""
+    seeds = []
+    comb = math.comb
+
+    def counted(a, b):
+        seeds.append((a, b))
+        return comb(a, b)
+
+    monkeypatch.setattr(math, "comb", counted)
+    assert len(filling.ways(filling.support)) == len(filling.support)
+    assert len(seeds) <= 2
