@@ -65,6 +65,11 @@ INVOCATIONS = [
     ("work --species fermion --two-s 3 --n-range 0:40 --temp-range 0:1:0.1 --out w.csv", None),
     ("work --species boson --two-s 4 --n-range 0:30 --temp-range 0:2:0.05", None),
     ("phase --species boson --two-s 0,2 --n-range 0:30 --temp-range 0:2:0.1 --out g.csv", None),
+    # CSV cells of every kind: undefined f_m*, empty leq_analytic_over_L, boson limits, runner-up eta
+    ("distribution --species fermion --two-s 2001 --n 2001 --temp 0.1 --format csv", None),
+    ("oracle --species fermion --two-s 3 --n 5 --temp 0.02 --tolerance 1 --format csv --out o.csv", None),
+    ("limits --species boson --two-s 0 --n-range 0:300 --out lb.csv", None),
+    ("efficiency --species boson --two-s 2 --n-range 0:40 --temp 0.1 --out e2.csv", None),
 ]
 
 
