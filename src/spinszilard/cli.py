@@ -7,12 +7,19 @@ Exit codes: 0 ok, 2 config error, 3 undefined quantity requested strictly,
 Floats are printed with 9 significant digits in scientific notation; rows
 are emitted in a fixed order so identical configurations produce
 byte-identical files.
+
+CSV is comma-separated, each row ends in ``\\n``, and no cell is ever quoted: a
+cell is a number, ``undefined``, ``true``/``false``, a species name or empty,
+so none holds a comma, a quote or a newline. Each row reaches its handle in
+one write, as it is formed. The argument parser is built on the first call of
+``main`` and shared by every later call in the process; parsing keeps no state
+in it.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
+import functools
 import itertools
 import math
 import os
@@ -259,15 +266,22 @@ def _cell(value: Any) -> str:
     return "" if value is None else str(value)
 
 
-def _write_csv(out: str | None, header: Iterable[str], rows: Iterable[Iterable[Any]]) -> None:
-    """CSV to standard output or ``out``, each row written as it is formed.
+def _line(cells: Iterable[Any]) -> str:
+    """One CSV row of mixed cells, without its newline."""
+    return ",".join(map(_cell, cells))
 
-    The caller raises its errors first, so a refused run writes nothing.
+
+def _write_csv(out: str | None, header: Iterable[str], lines: Iterable[str]) -> None:
+    """CSV to standard output or ``out``, one write per finished row, as it is formed.
+
+    Each of ``lines`` is a row without its newline. No cell needs quoting (see the
+    module docstring). The caller raises its errors first, so a refused run writes nothing.
     """
     with _output(out) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_cell(value) for value in row] for row in rows)
+        write = handle.write
+        write(",".join(header) + "\n")
+        for line in lines:
+            write(line + "\n")
 
 
 def _emit_rows(args: argparse.Namespace, rows: Iterable[dict[str, Any]], count: int) -> None:
@@ -276,7 +290,8 @@ def _emit_rows(args: argparse.Namespace, rows: Iterable[dict[str, Any]], count: 
     single = count == 1
     if (args.format or ("json" if single else "csv")) == "csv":
         first = next(rows)
-        _write_csv(args.out, first.keys(), (row.values() for row in itertools.chain([first], rows)))
+        lines = (_line(row.values()) for row in itertools.chain([first], rows))
+        _write_csv(args.out, first.keys(), lines)
     elif single:
         _emit(_json_dumps(next(rows)) + "\n", args.out)
     else:
@@ -301,17 +316,21 @@ def cmd_work(args: argparse.Namespace) -> int:
         for point in points:
             coeffs = point.coefficients
             filling = phase.filling(spin, point.N)
+            # the cells that depend on N alone, formatted once for all its temperatures
+            head = {
+                "species": spin.kind.value,
+                "two_s": spin.twice_spin,
+                "N": point.N,
+                "n": str(filling.n) if fermion_fill else "",
+                "k": str(filling.k) if fermion_fill else "",
+                "D": _fmt(coeffs.slope),
+                "W0_joule": _fmt(coeffs.absorbed),
+                "W0_per_E0": _fmt(coeffs.absorbed / e0),
+            }
             tc = _fmt(point.critical_temperature) if point.defined else UNDEFINED
             for T, w_tot in zip(t_values, point.work(t_arr).tolist()):
                 yield {
-                    "species": spin.kind.value,
-                    "two_s": spin.twice_spin,
-                    "N": point.N,
-                    "n": str(filling.n) if fermion_fill else "",
-                    "k": str(filling.k) if fermion_fill else "",
-                    "D": _fmt(coeffs.slope),
-                    "W0_joule": _fmt(coeffs.absorbed),
-                    "W0_per_E0": _fmt(coeffs.absorbed / e0),
+                    **head,
                     "T_kelvin": _fmt(T),
                     "Wtot_joule": _fmt(w_tot),
                     "Wtot_per_kBT": _fmt(w_tot / (BOLTZMANN * T)) if T > 0 else UNDEFINED,
@@ -353,7 +372,7 @@ def cmd_distribution(args: argparse.Namespace) -> int:
     else:
         header = ["m", "f_m"] + (["f_m_star"] if stars is not None else [])
         columns = [m_values, f_values] + ([stars] if stars is not None else [])
-        _write_csv(args.out, header, zip(*columns))
+        _write_csv(args.out, header, map(_line, zip(*columns)))
     print(f"sum f_m = {_fmt(dist.total())}", file=sys.stderr)
     return EXIT_OK
 
@@ -373,23 +392,27 @@ def cmd_phase(args: argparse.Namespace) -> int:
     curves = [(spin, phase.phase_curve(spin, geometry, n_values)) for spin in spins]
     if args.strict and not all(point.defined for _, points in curves for point in points):
         raise StrictUndefinedError()
-    rows = (
-        [spin.twice_spin] * len(lead)
-        + [point.N, point.critical_temperature if point.defined else UNDEFINED,
-           str(point.defined).lower()]
+    lines = (
+        _line([spin.twice_spin] * len(lead)
+              + [point.N, point.critical_temperature if point.defined else UNDEFINED,
+                 str(point.defined).lower()])
         for spin, points in curves
         for point in points
     )
-    _write_csv(args.out, lead + ["N", "T_c_kelvin", "defined"], rows)
+    _write_csv(args.out, lead + ["N", "T_c_kelvin", "defined"], lines)
     if t_values:
         t_arr = np.array(t_values)
-        grid_rows = (
-            [spin.twice_spin] * len(lead) + [point.N, T, w, (w > 0) - (w < 0)]
-            for spin, points in curves
-            for point in points
-            for T, w in zip(t_values, point.work(t_arr).tolist())
-        )
-        _write_csv(args.out + ".grid.csv", lead + ["N", "T", "W_tot_joule", "sign"], grid_rows)
+
+        def grid_lines() -> Iterator[str]:
+            for spin, points in curves:
+                spin_cell = f"{spin.twice_spin}," if lead else ""
+                for point in points:
+                    head = f"{spin_cell}{point.N},"
+                    # _fmt's format, inlined: this line is formed once per (N, T) cell
+                    for T, w in zip(t_values, point.work(t_arr).tolist()):
+                        yield f"{head}{T:.8e},{w:.8e},{(w > 0) - (w < 0)}"
+
+        _write_csv(args.out + ".grid.csv", lead + ["N", "T", "W_tot_joule", "sign"], grid_lines())
     return EXIT_OK
 
 
@@ -493,7 +516,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if fmt == "json":
         _emit(_json_dumps(payload) + "\n", args.out)
     else:
-        _write_csv(args.out, rows[0].keys(), (row.values() for row in rows))
+        _write_csv(args.out, rows[0].keys(), (_line(row.values()) for row in rows))
         print(
             f"W_exact = {_fmt(cycle.total_work)}  W_analytic = {_fmt(analytic_work)}  "
             f"rel_delta = {_fmt(rel_dw)}",
@@ -527,7 +550,7 @@ def cmd_limits(args: argparse.Namespace) -> int:
         # the outermost iterable runs now, so a bad --n-range exits 2 before any output
         boson_limits = ((N, boson.large_spin_limits(N, geometry)) for N in _n_values(args))
         limits = ((N, lim.slope, lim.absorbed) for N, lim in boson_limits)
-    _write_csv(args.out, header, ([index, slope, w0, w0 / e0] for index, slope, w0 in limits))
+    _write_csv(args.out, header, (_line([i, slope, w0, w0 / e0]) for i, slope, w0 in limits))
     return EXIT_OK
 
 
@@ -562,7 +585,9 @@ _COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], tuple[str, ...]]
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="szilard",
         description="Arbitrary-spin quantum Szilard engine calculator",

@@ -37,7 +37,7 @@ from .equilibrium import level_splits
 
 
 class Filling(Protocol):
-    """A species' filling type: its outcomes, ascending, and its column builders."""
+    """A species' filling type: its outcomes, one contiguous ascending range, and its columns."""
 
     @property
     def support(self) -> range: ...
@@ -149,7 +149,7 @@ def outcome_table(filling: Filling, geometry: WellGeometry) -> OutcomeTable:
     )
     light = np.array([[w / total for w in ways], log_f, lw, c])
     f, log_f, lw, c = _mirror(light, size)
-    return OutcomeTable(np.array(support, dtype=np.int64), f, log_f, lw, c)
+    return OutcomeTable(np.arange(support.start, support.stop, dtype=np.int64), f, log_f, lw, c)
 
 
 def measurement_distribution(filling: Filling) -> MeasurementDistribution:
@@ -157,7 +157,7 @@ def measurement_distribution(filling: Filling) -> MeasurementDistribution:
     support = filling.support
     ways, total = _light_ways(filling)
     return MeasurementDistribution(
-        support=np.array(support, dtype=np.int64),
+        support=np.arange(support.start, support.stop, dtype=np.int64),
         probabilities=_mirror(np.array([w / total for w in ways]), len(support)),
     )
 

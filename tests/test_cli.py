@@ -660,6 +660,43 @@ def test_config_file(tmp_path, capsys):
     assert "give either --n or --n-range" in capsys.readouterr().err
 
 
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    """main builds its parser once per process, and no call's flags reach the next."""
+
+    def captured(argv):
+        code = exit_code(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    cli._build_parser.cache_clear()
+    assert run(["limits", "--species", "fermion", "--two-s", "1"]) == 0
+    assert run(["limits", "--species", "fermion", "--two-s", "3"]) == 0
+    assert cli._build_parser.cache_info().misses == 1
+    capsys.readouterr()
+    config = tmp_path / "engine.conf"
+    config.write_text("species = fermion\ntwo-s = 9\ntemp = 0.1\n")
+    good = "efficiency --species fermion --two-s 1 --n 2 --temp 0.1"
+    # each sequence with the exit codes of its calls
+    sequences = {
+        # a config file's values, then a call that gives its own, or none
+        (f"work --n 3 --config {config}", "work --species boson --two-s 2 --n 4 --temp 0.2"): [0, 0],
+        (f"work --n 3 --config {config}", "work --n 3"): [0, 2],
+        # argparse errors, then a good call
+        ("work --species fermion --bogus 1", good): [2, 0],
+        ("phase --species quark --n-range 1:3", good): [2, 0],
+    }
+    for sequence, codes in sequences.items():
+        alone = []
+        for argv in sequence:
+            cli._build_parser.cache_clear()
+            alone.append(captured(argv))
+        cli._build_parser.cache_clear()
+        shared = [captured(argv) for argv in sequence]
+        assert cli._build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in shared] == codes, sequence
+        assert shared == alone, sequence
+
+
 def test_phase_names_a_bad_two_s_token(capsys):
     assert run(["phase", "--species", "fermion", "--two-s", "1,,3", "--n-range", "1:3"]) == 2
     assert capsys.readouterr().err.startswith("error: bad --two-s value '' for fermion")

@@ -9,6 +9,7 @@ output change with ``PYTHONPATH=src python tests/test_cli_corpus.py``.
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -77,8 +78,11 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_invocation(argv: str, config: str | None) -> dict:
-    """Exit code and output hashes of one CLI run in a fresh directory."""
+def _outputs(argv: str, config: str | None) -> tuple[int, str, str, dict[str, bytes]]:
+    """Exit code, standard output, standard error and written files of one CLI run.
+
+    The run takes place in a fresh directory; the files are keyed by name.
+    """
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
@@ -92,19 +96,25 @@ def run_invocation(argv: str, config: str | None) -> dict:
                 except SystemExit as exc:  # argparse's own errors
                     code = exc.code
             files = {
-                path.name: _sha(path.read_bytes())
+                path.name: path.read_bytes()
                 for path in sorted(pathlib.Path(workdir).iterdir())
                 if path.name != "corpus.conf"
             }
         finally:
             os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue(), files
+
+
+def run_invocation(argv: str, config: str | None) -> dict:
+    """Exit code and output hashes of one CLI run in a fresh directory."""
+    code, out, err, files = _outputs(argv, config)
     return {
         "argv": argv,
         "config": config,
         "exit": code,
-        "stdout": _sha(out.getvalue().encode()),
-        "stderr": _sha(err.getvalue().encode()),
-        "files": files,
+        "stdout": _sha(out.encode()),
+        "stderr": _sha(err.encode()),
+        "files": {name: _sha(data) for name, data in files.items()},
     }
 
 
@@ -119,6 +129,30 @@ def test_corpus_covers_every_invocation():
 @pytest.mark.parametrize("argv,config", INVOCATIONS, ids=[argv for argv, _ in INVOCATIONS])
 def test_cli_output_matches_corpus(argv, config):
     assert run_invocation(argv, config) == _pinned()[argv]
+
+
+def test_csv_outputs_are_the_csv_dialect():
+    """Every CSV the corpus writes is what csv.writer(lineterminator="\\n") would write.
+
+    Each parses into rows of the header's width, and writing those rows again gives
+    the same bytes: no cell needed quoting, and none was quoted.
+    """
+    checked = 0
+    for argv, config in INVOCATIONS:
+        _, out, _, files = _outputs(argv, config)
+        texts = {"stdout": out} | {name: data.decode() for name, data in files.items()}
+        for name, text in texts.items():
+            # JSON starts with a brace; a refused run writes nothing
+            if not text or text.startswith("{"):
+                continue
+            rows = list(csv.reader(io.StringIO(text, newline="")))
+            assert {len(row) for row in rows} == {len(rows[0])}, (argv, name)
+            again = io.StringIO()
+            csv.writer(again, lineterminator="\n").writerows(rows)
+            assert again.getvalue() == text, (argv, name)
+            checked += 1
+    # the README's, the grids, every subcommand's CSV and the pinned cell kinds
+    assert checked >= 20, checked
 
 
 if __name__ == "__main__":
