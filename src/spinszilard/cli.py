@@ -287,15 +287,28 @@ def _write_csv(out: str | None, header: Iterable[str], lines: Iterable[str]) -> 
 def _emit_rows(args: argparse.Namespace, rows: Iterable[dict[str, Any]], count: int) -> None:
     """JSON for a single row, or CSV for several; the caller settles --strict first."""
     rows = iter(rows)
-    single = count == 1
-    if (args.format or ("json" if single else "csv")) == "csv":
+    if _csv_format(args, count):
         first = next(rows)
         lines = (_line(row.values()) for row in itertools.chain([first], rows))
         _write_csv(args.out, first.keys(), lines)
-    elif single:
-        _emit(_json_dumps(next(rows)) + "\n", args.out)
     else:
+        _emit(_json_dumps(next(rows)) + "\n", args.out)
+
+
+def _csv_format(args: argparse.Namespace, count: int) -> bool:
+    """Whether ``count`` rows go out as CSV (the default for several) or as JSON (one only)."""
+    if (args.format or ("json" if count == 1 else "csv")) == "csv":
+        return True
+    if count != 1:
         raise ConfigError("json format is for single results; ranges emit csv")
+    return False
+
+
+#: the columns of ``work``: the cells of N alone, then those of each temperature
+_WORK_COLUMNS = (
+    "species", "two_s", "N", "n", "k", "D", "W0_joule", "W0_per_E0",
+    "T_kelvin", "Wtot_joule", "Wtot_per_kBT", "Tc_kelvin",
+)
 
 
 def cmd_work(args: argparse.Namespace) -> int:
@@ -312,32 +325,37 @@ def cmd_work(args: argparse.Namespace) -> int:
     if args.strict and undefined:
         raise StrictUndefinedError()
 
-    def rows() -> Iterator[dict[str, Any]]:
-        for point in points:
-            coeffs = point.coefficients
-            filling = phase.filling(spin, point.N)
-            # the cells that depend on N alone, formatted once for all its temperatures
-            head = {
-                "species": spin.kind.value,
-                "two_s": spin.twice_spin,
-                "N": point.N,
-                "n": str(filling.n) if fermion_fill else "",
-                "k": str(filling.k) if fermion_fill else "",
-                "D": _fmt(coeffs.slope),
-                "W0_joule": _fmt(coeffs.absorbed),
-                "W0_per_E0": _fmt(coeffs.absorbed / e0),
-            }
-            tc = _fmt(point.critical_temperature) if point.defined else UNDEFINED
-            for T, w_tot in zip(t_values, point.work(t_arr).tolist()):
-                yield {
-                    **head,
-                    "T_kelvin": _fmt(T),
-                    "Wtot_joule": _fmt(w_tot),
-                    "Wtot_per_kBT": _fmt(w_tot / (BOLTZMANN * T)) if T > 0 else UNDEFINED,
-                    "Tc_kelvin": tc,
-                }
+    def head(point: phase.PhasePoint) -> list[Any]:
+        """The cells that depend on N alone, formatted once for all its temperatures."""
+        coeffs = point.coefficients
+        filling = phase.filling(spin, point.N)
+        return [
+            spin.kind.value, spin.twice_spin, point.N,
+            str(filling.n) if fermion_fill else "", str(filling.k) if fermion_fill else "",
+            _fmt(coeffs.slope), _fmt(coeffs.absorbed), _fmt(coeffs.absorbed / e0),
+        ]
 
-    _emit_rows(args, rows(), len(points) * len(t_values))
+    def tails(point: phase.PhasePoint) -> Iterator[tuple[str, str, str, str]]:
+        """The cells of each temperature, in ``t_values`` order."""
+        tc = _fmt(point.critical_temperature) if point.defined else UNDEFINED
+        for T, w in zip(t_values, point.work(t_arr).tolist()):
+            # _fmt's format, inlined: this is formed once per (N, T) cell
+            per_kbt = f"{w / (BOLTZMANN * T):.8e}" if T > 0 else UNDEFINED
+            yield f"{T:.8e}", f"{w:.8e}", per_kbt, tc
+
+    if not _csv_format(args, len(points) * len(t_values)):
+        (point,) = points
+        (tail,) = tails(point)
+        _emit(_json_dumps(dict(zip(_WORK_COLUMNS, head(point) + list(tail)))) + "\n", args.out)
+        return EXIT_OK
+
+    def lines() -> Iterator[str]:
+        for point in points:
+            lead = _line(head(point))
+            for T, w, per_kbt, tc in tails(point):
+                yield f"{lead},{T},{w},{per_kbt},{tc}"
+
+    _write_csv(args.out, _WORK_COLUMNS, lines())
     return EXIT_OK
 
 
@@ -539,11 +557,11 @@ def cmd_limits(args: argparse.Namespace) -> int:
             raise ConfigError("fermion limits index k in [0, 4u); --n and --n-range are for bosons")
         u = spin.u
         header = ["k", "D_F", "avg_W0F_limit_joule", "avg_W0F_limit_per_E0"]
-        # (k, D_F, the k-averaged W_0F limit) of each row
+        # (k, D_F, the k-averaged W_0F limit) of each row; D_F of every k from one pass
         limits = (
-            (k, information.work_coefficients(fermion.decompose(k, u), geometry).slope,
-             fermion.average_absorbed_work_limit(u, k, geometry))
-            for k in range(4 * u)
+            (point.N, point.coefficients.slope,
+             fermion.average_absorbed_work_limit(u, point.N, geometry))
+            for point in phase.phase_curve(spin, geometry, range(4 * u))
         )
     else:
         header = ["N", "lim_D_B", "lim_W0B_joule", "lim_W0B_per_E0"]

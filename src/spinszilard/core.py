@@ -109,18 +109,25 @@ class ThermalPoint:
         return 1.0 / (BOLTZMANN * self.temperature)
 
 
-def level_energy(n: int, width: float | np.ndarray, geometry: WellGeometry) -> float | np.ndarray:
+def level_energy(
+    n: int | np.ndarray, width: float | np.ndarray, geometry: WellGeometry
+) -> float | np.ndarray:
     """Energy of level ``n`` of an infinite well of the given width, or of each width.
 
     E_n = n^2 pi^2 hbar^2 / (2 M width^2); strictly increasing in n and
-    strictly decreasing in width. A width array gives each element the same
-    operations in the same order as a scalar width, so the same bits.
+    strictly decreasing in width. A width array, with a scalar level or a level
+    column that broadcasts against it, gives each element the same operations in
+    the same order as scalars, so the same bits.
     """
-    if n < 1:
+    if isinstance(width, np.ndarray):
+        # a level column comes with a width column; a NaN minimum fails the test too
+        lowest = n.min(initial=1) if isinstance(n, np.ndarray) else n
+        positive = width.min(initial=math.inf) > 0
+    else:
+        # the oracle's box DP calls this once per level: no numpy on this branch
+        lowest, positive = n, width > 0
+    if lowest < 1:
         raise ValueError(f"level index must be >= 1, got {n}")
-    # a NaN minimum fails the test too; the scalar branch keeps numpy out of the
-    # oracle's box DP, which calls this once per level
-    positive = width.min(initial=math.inf) > 0 if isinstance(width, np.ndarray) else width > 0
     if not positive:
         raise ValueError(f"width must be > 0, got {width}")
     return (n * n) * math.pi**2 * HBAR**2 / (2.0 * geometry.mass * width * width)

@@ -76,9 +76,12 @@ def wall_position(ratio: float, geometry: WellGeometry) -> WallPosition:
     return WallPosition(ratio=ratio, position=geometry.length * ratio / (1.0 + ratio))
 
 
-def level_splits(level: int, ratios: list[float], geometry: WellGeometry) -> np.ndarray:
+def level_splits(
+    level: int | np.ndarray, ratios: list[float], geometry: WellGeometry
+) -> np.ndarray:
     """Exact |E_level(l_eq) - E_level(L - l_eq)| at each interior ratio's wall, as a numpy column.
 
+    ``level`` is one level for every ratio, or a column holding each ratio's level.
     Each element takes a scalar evaluation's operations in its order (l = L r/(1+r),
     then |E(l) - E(L - l)|), so it carries the same bits.
     """

@@ -14,6 +14,9 @@ of numpy columns over the support: f_m, ln f_m, and lw_m and c_m of
 ln f_m* = lw_m - beta c_m, with lw_m = ln(ways/edge ways) and c_m = mu_m dE_m
 (mu_m remainder particles on the lighter side, dE_m the level splitting at
 the wall). Every observable is a reduction over that table, for both species.
+Only D and W_0 of many fillings at once (``work_coefficients_each``, behind
+``phase.phase_curve``) skip the table: they come from flat lighter-half columns,
+one pass per bounded chunk of fillings, with the table's bits.
 
 Entropies are kept in nats throughout (one bit = ln 2 nats); the erasure
 cost k_B T H(f) is identical either way and nats avoid conversion factors
@@ -22,7 +25,7 @@ in the W_net = W_tot - W_eras identity.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Protocol
+from typing import Iterable, NamedTuple, Protocol
 
 import numpy as np
 
@@ -34,6 +37,10 @@ from .core import (
     WorkDecomposition,
 )
 from .equilibrium import level_splits
+
+#: the most outcomes one pass of ``work_coefficients_each`` holds (a larger support
+#: is a pass of its own), so its memory is bounded however many fillings it takes
+CHUNK_OUTCOMES = 4096
 
 
 class Filling(Protocol):
@@ -84,11 +91,9 @@ class OutcomeTable(NamedTuple):
     def work_coefficients(self) -> WorkDecomposition:
         """Slope D and zero-temperature absorbed work W_0 = sum f_m c_m of the affine work law."""
         central = self.f[len(self.f) // 2] if len(self.f) % 2 else 0.0
-        # every non-central outcome has lw - ln f = ln(total ways / edge ways), so
-        # D = sum f (lw - ln f) closes to (1 - f_central) ln(total ways / edge ways),
-        # which the edge outcome holds exactly (its lw is 0)
-        slope = (1.0 - central) * (self.lw[0] - self.log_f[0])
-        return WorkDecomposition(slope=float(slope), absorbed=float(self.f @ self.c))
+        return WorkDecomposition(
+            slope=_slope(central, self.log_f[0]), absorbed=float(self.f @ self.c)
+        )
 
     def relative_entropy_work(self, thermal: ThermalPoint) -> float:
         """Direct -k_B T sum f_m ln(f_m / f_m*) evaluation, for cross-checking."""
@@ -105,6 +110,16 @@ class OutcomeTable(NamedTuple):
 
 class UndefinedEfficiencyError(ValueError):
     """Measurement outcome is deterministic: zero erasure work, no efficiency."""
+
+
+def _slope(central: float, log_edge: float) -> float:
+    """D = sum f (lw - ln f), from f_central and the edge outcome's ln f, ln(edge / total ways).
+
+    Every non-central outcome has lw - ln f = ln(total ways / edge ways), which the
+    edge outcome holds exactly (its lw is 0), and the central one has lw = ln f, so
+    D closes to (1 - f_central) ln(total ways / edge ways).
+    """
+    return float((1.0 - central) * (0.0 - log_edge))
 
 
 def _light_ways(filling: Filling) -> tuple[list[int], int]:
@@ -165,6 +180,83 @@ def measurement_distribution(filling: Filling) -> MeasurementDistribution:
 def work_coefficients(filling: Filling, geometry: WellGeometry) -> WorkDecomposition:
     """Slope D and zero-temperature absorbed work W_0 of the affine work law."""
     return outcome_table(filling, geometry).work_coefficients()
+
+
+def work_coefficients_each(
+    fillings: Iterable[Filling], geometry: WellGeometry
+) -> list[WorkDecomposition]:
+    """``work_coefficients`` of each filling, in order, with the same bits and no table.
+
+    The fillings are taken in chunks of at most ``CHUNK_OUTCOMES`` outcomes (a
+    larger support is a chunk of its own), so memory does not grow with their number.
+    """
+    coefficients: list[WorkDecomposition] = []
+    chunk: list[Filling] = []
+    held = 0
+    for filling in fillings:
+        size = len(filling.support)
+        if chunk and held + size > CHUNK_OUTCOMES:
+            coefficients += _chunk_coefficients(chunk, geometry)
+            chunk, held = [], 0
+        chunk.append(filling)
+        held += size
+    if chunk:
+        coefficients += _chunk_coefficients(chunk, geometry)
+    return coefficients
+
+
+def _chunk_coefficients(chunk: list[Filling], geometry: WellGeometry) -> list[WorkDecomposition]:
+    """One pass over flat lighter-half columns of every filling in ``chunk``.
+
+    Each filling adds its lighter-half f, and its level and wall ratios for its
+    interior outcomes; one ``level_splits`` call forms every splitting, and one
+    index gather mirrors f and c to each full support. Each W_0 is then the dot
+    that ``OutcomeTable.work_coefficients`` takes, over the same values and length.
+    """
+    f_light: list[float] = []
+    slopes: list[float] = []
+    sizes: list[int] = []
+    light_sizes: list[int] = []
+    # each filling's count of interior outcomes (mu = 1 .. size // 2 - 1) and its level,
+    # and the wall ratios of them all
+    inner: list[int] = []
+    levels: list[int] = []
+    ratios: list[float] = []
+    for filling in chunk:
+        support = filling.support
+        size = len(support)
+        ways, total = _light_ways(filling)
+        f_light += [w / total for w in ways]
+        central = f_light[-1] if size % 2 else 0.0
+        slopes.append(_slope(central, math.log(ways[0]) - math.log(total)))
+        sizes.append(size)
+        light_sizes.append(len(ways))
+        half = size // 2
+        inner.append(max(half - 1, 0))
+        levels.append(filling.level)
+        if half > 1:
+            ratios += filling.ratios(support[1:half])
+    light_starts = np.cumsum(light_sizes) - light_sizes
+    c_light = np.zeros(len(f_light))
+    if ratios:
+        inner_col = np.array(inner)
+        # 1, 2, ... along each filling's interior run
+        mu = np.arange(1, len(ratios) + 1) - np.repeat(np.cumsum(inner_col) - inner_col, inner_col)
+        splits = level_splits(np.repeat(levels, inner_col), ratios, geometry)
+        c_light[np.repeat(light_starts, inner_col) + mu] = mu * splits
+    # outcome j of a support of `size` reads row min(j, size - 1 - j) of its lighter half
+    size_col = np.array(sizes)
+    ends = np.cumsum(size_col)
+    starts = ends - size_col
+    j = np.arange(ends[-1]) - np.repeat(starts, size_col)
+    row = np.minimum(j, np.repeat(size_col - 1, size_col) - j)
+    gather = np.repeat(light_starts, size_col) + row
+    f = np.array(f_light)[gather]
+    c = c_light[gather]
+    return [
+        WorkDecomposition(slope=slope, absorbed=float(f[a:b] @ c[a:b]))
+        for slope, a, b in zip(slopes, starts.tolist(), ends.tolist())
+    ]
 
 
 def total_work(filling: Filling, geometry: WellGeometry, thermal: ThermalPoint) -> float:

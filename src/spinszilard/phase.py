@@ -6,9 +6,11 @@ k = 0, boson N = 0) have no transition; they are carried as explicit
 ``None`` markers, never NaN, so file consumers can tell "no transition"
 from numeric failure.
 
-``phase_curve`` keeps one outcome table's work coefficients per N as a
-``PhasePoint``; its T_c and its work at given temperatures (one row of the
-(N, T) work grid) reduce those coefficients, and build no table again.
+``phase_curve`` keeps each N's work coefficients D and W_0 as a ``PhasePoint``;
+they come from one chunked pass over the whole N range
+(``information.work_coefficients_each``), with no outcome table, and carry the
+bits of ``information.work_coefficients``. A point's T_c and its work at given
+temperatures (one row of the (N, T) work grid) reduce those two numbers.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .core import (
     WorkDecomposition,
 )
 from .fermion import FermionFilling, decompose
-from .information import work_coefficients
+from .information import work_coefficients_each
 
 
 class UndefinedQuantityError(ValueError):
@@ -76,14 +78,15 @@ def critical_temperature(coeffs: WorkDecomposition) -> float:
 def phase_curve(
     spin: SpinStatistics, geometry: WellGeometry, n_values: Iterable[int]
 ) -> list[PhasePoint]:
-    """One PhasePoint per particle number, in the given order; one table each."""
-    points = [
-        PhasePoint(N=N, coefficients=work_coefficients(filling(spin, N), geometry))
-        for N in n_values
-    ]
-    if not points:
+    """One PhasePoint per particle number, in the given order; no outcome table is built."""
+    n_values = list(n_values)
+    if not n_values:
         raise ValueError("n_values must be non-empty")
-    return points
+    fillings = (filling(spin, N) for N in n_values)
+    return [
+        PhasePoint(N=N, coefficients=coefficients)
+        for N, coefficients in zip(n_values, work_coefficients_each(fillings, geometry))
+    ]
 
 
 @dataclass(frozen=True)
@@ -121,7 +124,9 @@ def extremal_report(spin: SpinStatistics, geometry: WellGeometry) -> ExtremalRep
         best = (2.0 * s + 2.0) / (4.0 * s + 3.0) * math.log((4.0 * s + 3.0) / (s + 1.0))
         boson_best = best
     zero = tuple(
-        x for x in candidates if work_coefficients(filling(spin, x), geometry).absorbed == 0.0
+        point.N
+        for point in phase_curve(spin, geometry, candidates)
+        if point.coefficients.absorbed == 0.0
     )
     return ExtremalReport(
         species=spin.kind,

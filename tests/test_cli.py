@@ -17,7 +17,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from spinszilard import cli, information, phase
-from spinszilard.boson import BosonFilling
 from spinszilard.core import BOLTZMANN, ParticleKind, SpinStatistics, ThermalPoint, WellGeometry
 
 # temperatures in kelvin; k_B T / E0 = 0.05 is roughly T = 0.0199 K here
@@ -124,7 +123,7 @@ def test_work_rows_are_written_as_they_are_formed(command, monkeypatch):
     monkeypatch.setattr(cli.sys, "stdout", sink)
     argv = [command, "--species", "boson", "--two-s", "2", "--n-range", "1:40", "--temp", "0.1"]
     assert run(argv) == 0
-    assert len(formed) >= 40  # work: phase_curve's tables, then the rows
+    assert len(formed) >= 40  # work: phase_curve's fillings, then one more per N as its rows form
     assert sink[0][0] < len(formed)
     assert "".join(text for _, text in sink).count("\n") == 41
 
@@ -366,21 +365,28 @@ def test_phase_multiple_spins(tmp_path):
     assert len(lines) == 10
 
 
-def test_phase_builds_one_outcome_table_per_spin_and_n(tmp_path, monkeypatch):
-    """The T_c table and the work grid share one table per (spin, N)."""
-    calls = collections.Counter()
-    build = information.outcome_table
+def test_phase_builds_no_outcome_table_and_each_filling_once(tmp_path, monkeypatch):
+    """The T_c table and the work grid share one filling per (spin, N) and build no table."""
+    tables = collections.Counter()
+    fillings = collections.Counter()
+    build, form = information.outcome_table, phase.filling
 
-    def counted(filling, geometry):
-        calls[filling] += 1
+    def counted_table(filling, geometry):
+        tables[filling] += 1
         return build(filling, geometry)
 
-    monkeypatch.setattr(information, "outcome_table", counted)
+    def counted_filling(spin, N):
+        fillings[spin.twice_spin, N] += 1
+        return form(spin, N)
+
+    monkeypatch.setattr(information, "outcome_table", counted_table)
+    monkeypatch.setattr(phase, "filling", counted_filling)
     argv = ["phase", "--species", "boson", "--two-s", "0,2,4", "--n-range", "1:20",
             "--temp-range", "0:1:0.05", "--out", str(tmp_path / "p.csv")]
     assert run(argv) == 0
     assert (tmp_path / "p.csv.grid.csv").exists()
-    assert calls == {BosonFilling(N=N, s=s): 1 for s in (0, 1, 2) for N in range(1, 21)}
+    assert tables == {}
+    assert fillings == {(two_s, N): 1 for two_s in (0, 2, 4) for N in range(1, 21)}
 
 
 def test_phase_files_are_written_row_by_row(tmp_path, monkeypatch):

@@ -43,6 +43,20 @@ def test_level_energy_domain_errors():
     for bad in (0.0, -1e-9, math.nan):
         with pytest.raises(ValueError):
             level_energy(1, np.array([1e-9, bad, 0.5e-9]), GEOM)
+    # so is a level column
+    with pytest.raises(ValueError):
+        level_energy(np.array([2, 0, 1]), np.array([1e-9, 1e-9, 0.5e-9]), GEOM)
+
+
+def test_level_energy_level_column_is_scalar_bit_for_bit():
+    """A level column against a width column (or its two rows) carries each scalar call's bits."""
+    levels = np.array([1, 2, 7, 1000])
+    widths = np.array([1e-9, 3.7e-10, 0.5e-9, 1e-6])
+    expected = [level_energy(int(n), float(w), GEOM) for n, w in zip(levels, widths)]
+    assert level_energy(levels, widths, GEOM).tolist() == expected
+    rows = level_energy(levels, np.array([widths, widths[::-1]]), GEOM).tolist()
+    assert rows[0] == expected
+    assert rows[1] == [level_energy(int(n), float(w), GEOM) for n, w in zip(levels, widths[::-1])]
 
 
 def test_reference_energy_scalings():

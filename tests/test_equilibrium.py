@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from spinszilard.core import WellGeometry
@@ -97,6 +98,14 @@ def test_level_split_values():
     d1 = level_splits(1, [ratio], GEOM)[0]
     d3 = level_splits(3, [ratio], GEOM)[0]
     assert d3 == pytest.approx(9 * d1, rel=1e-12)
+
+
+def test_level_splits_level_column_is_one_level_per_call():
+    """Each ratio's own level gives the bits of a one-level call on that ratio."""
+    levels, ratios = [1, 3, 3, 40], [0.5 ** (1 / 3), 2.0, 0.7, 1.3]
+    expected = [level_splits(n, [r], GEOM)[0] for n, r in zip(levels, ratios)]
+    assert level_splits(np.array(levels), ratios, GEOM).tolist() == expected
+    assert level_splits(np.array([], dtype=np.int64), [], GEOM).tolist() == []
 
 
 def test_level_split_reflection():

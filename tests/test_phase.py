@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from spinszilard import boson, fermion, phase
+from spinszilard import boson, fermion, information, phase
 from spinszilard.boson import BosonFilling
 from spinszilard.core import BOLTZMANN, SpinStatistics, ThermalPoint, WellGeometry
 from spinszilard.fermion import decompose
@@ -115,3 +117,57 @@ def test_phase_point_reads_its_coefficients():
             assert point.critical_temperature == phase.critical_temperature(coeffs)
         else:
             assert point.critical_temperature is None
+
+
+#: (spin, N values): fermion and boson ranges that span many chunks, one support
+#: larger than a chunk, and N lists out of order and with repeats
+CURVE_CASES = (
+    [(SpinStatistics.fermion(t), range(0, 600)) for t in (1, 3, 9, 39, 41)]
+    + [(SpinStatistics.boson(t), range(0, 400)) for t in (0, 2, 40)]
+    + [
+        (SpinStatistics.fermion(9), [40, 3, 3, 0, 599, 17, 2, 3, 20, 20]),
+        (SpinStatistics.boson(2), [399, 0, 5, 5, 1, 300, 2, 1]),
+        (SpinStatistics.boson(0), [4100, 1, 4100, 3, 0]),
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "geometry", [GEOM, WellGeometry(length=3.7e-8, mass=6.6e-27)], ids=["nm", "wide"]
+)
+def test_phase_curve_is_work_coefficients_bit_for_bit(geometry):
+    """Each point's D and W_0 carry the bits of its own outcome table's coefficients."""
+    crossed = 0
+    for spin, n_values in CURVE_CASES:
+        points = phase.phase_curve(spin, geometry, n_values)
+        assert [point.N for point in points] == list(n_values)
+        got = [(p.coefficients.slope.hex(), p.coefficients.absorbed.hex()) for p in points]
+        expected = []
+        for N in n_values:
+            coeffs = information.work_coefficients(phase.filling(spin, N), geometry)
+            expected.append((coeffs.slope.hex(), coeffs.absorbed.hex()))
+        assert got == expected, spin
+        outcomes = sum(len(phase.filling(spin, N).support) for N in n_values)
+        crossed += outcomes > information.CHUNK_OUTCOMES
+    assert crossed >= 6
+
+
+def test_phase_curve_memory_does_not_grow_with_the_range():
+    """A long N range is taken in bounded chunks: its peak stays near one large support's.
+
+    N runs over 0..3000 in steps of 25 (181,621 outcomes), so that tracing stays quick;
+    held in one pass, those outcomes peak at over 50 times the single N = 3000.
+    """
+    spin = SpinStatistics.boson(0)
+
+    def traced_peak(n_values):
+        tracemalloc.start()
+        try:
+            phase.phase_curve(spin, GEOM, n_values)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    single = traced_peak([3000])
+    curve = traced_peak(range(0, 3001, 25))
+    assert curve < 2 * single, (single, curve)
