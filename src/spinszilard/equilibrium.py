@@ -33,10 +33,6 @@ class WallPosition:
     ratio: float
     position: float
 
-    @property
-    def at_boundary(self) -> bool:
-        return self.ratio == 0.0 or math.isinf(self.ratio)
-
 
 def fermion_eq_ratio(u: int, n: int, k: int, p: int) -> float:
     """Equilibrium ratio for p of k partially-filling fermions on the left.

@@ -14,9 +14,11 @@ of numpy columns over the support: f_m, ln f_m, and lw_m and c_m of
 ln f_m* = lw_m - beta c_m, with lw_m = ln(ways/edge ways) and c_m = mu_m dE_m
 (mu_m remainder particles on the lighter side, dE_m the level splitting at
 the wall). Every observable is a reduction over that table, for both species.
-Only D and W_0 of many fillings at once (``work_coefficients_each``, behind
-``phase.phase_curve``) skip the table: they come from flat lighter-half columns,
-one pass per bounded chunk of fillings, with the table's bits.
+W_0 is twice sum f_m c_m over the interior outcomes (0 < mu < size / 2), since
+f and c mirror and c is 0 at the edge and central outcomes. Only D and W_0 of
+many fillings at once (``work_coefficients_each``, behind ``phase.phase_curve``)
+skip the table: they come from flat interior columns, one pass per bounded
+chunk of fillings, with the table's bits.
 
 Entropies are kept in nats throughout (one bit = ln 2 nats); the erasure
 cost k_B T H(f) is identical either way and nats avoid conversion factors
@@ -89,10 +91,17 @@ class OutcomeTable(NamedTuple):
         return log_fstar
 
     def work_coefficients(self) -> WorkDecomposition:
-        """Slope D and zero-temperature absorbed work W_0 = sum f_m c_m of the affine work law."""
-        central = self.f[len(self.f) // 2] if len(self.f) % 2 else 0.0
+        """Slope D and zero-temperature absorbed work W_0 = sum f_m c_m of the affine work law.
+
+        f and c are mirror-symmetric and c is 0 at the edge and central outcomes, so
+        W_0 is twice the sum over the interior outcomes of the lighter half.
+        """
+        size = len(self.f)
+        central = self.f[size // 2] if size % 2 else 0.0
+        interior = slice(1, size // 2)
         return WorkDecomposition(
-            slope=_slope(central, self.log_f[0]), absorbed=float(self.f @ self.c)
+            slope=_slope(central, self.log_f[0]),
+            absorbed=2.0 * float(self.f[interior] @ self.c[interior]),
         )
 
     def relative_entropy_work(self, thermal: ThermalPoint) -> float:
@@ -206,56 +215,37 @@ def work_coefficients_each(
 
 
 def _chunk_coefficients(chunk: list[Filling], geometry: WellGeometry) -> list[WorkDecomposition]:
-    """One pass over flat lighter-half columns of every filling in ``chunk``.
+    """One pass over flat interior columns of every filling in ``chunk``.
 
-    Each filling adds its lighter-half f, and its level and wall ratios for its
-    interior outcomes; one ``level_splits`` call forms every splitting, and one
-    index gather mirrors f and c to each full support. Each W_0 is then the dot
-    that ``OutcomeTable.work_coefficients`` takes, over the same values and length.
+    Each filling adds f, mu, its level and its wall ratios for its interior
+    outcomes (0 < mu < size / 2), and one ``level_splits`` call forms every
+    splitting. Each W_0 is then twice the dot of f and c over that filling's run,
+    the dot that ``OutcomeTable.work_coefficients`` takes over the same values.
     """
-    f_light: list[float] = []
-    slopes: list[float] = []
-    sizes: list[int] = []
-    light_sizes: list[int] = []
-    # each filling's count of interior outcomes (mu = 1 .. size // 2 - 1) and its level,
-    # and the wall ratios of them all
-    inner: list[int] = []
+    f: list[float] = []
+    mu: list[int] = []
     levels: list[int] = []
     ratios: list[float] = []
+    slopes: list[float] = []
+    ends: list[int] = []
     for filling in chunk:
         support = filling.support
         size = len(support)
-        ways, total = _light_ways(filling)
-        f_light += [w / total for w in ways]
-        central = f_light[-1] if size % 2 else 0.0
-        slopes.append(_slope(central, math.log(ways[0]) - math.log(total)))
-        sizes.append(size)
-        light_sizes.append(len(ways))
         half = size // 2
-        inner.append(max(half - 1, 0))
-        levels.append(filling.level)
-        if half > 1:
-            ratios += filling.ratios(support[1:half])
-    light_starts = np.cumsum(light_sizes) - light_sizes
-    c_light = np.zeros(len(f_light))
-    if ratios:
-        inner_col = np.array(inner)
-        # 1, 2, ... along each filling's interior run
-        mu = np.arange(1, len(ratios) + 1) - np.repeat(np.cumsum(inner_col) - inner_col, inner_col)
-        splits = level_splits(np.repeat(levels, inner_col), ratios, geometry)
-        c_light[np.repeat(light_starts, inner_col) + mu] = mu * splits
-    # outcome j of a support of `size` reads row min(j, size - 1 - j) of its lighter half
-    size_col = np.array(sizes)
-    ends = np.cumsum(size_col)
-    starts = ends - size_col
-    j = np.arange(ends[-1]) - np.repeat(starts, size_col)
-    row = np.minimum(j, np.repeat(size_col - 1, size_col) - j)
-    gather = np.repeat(light_starts, size_col) + row
-    f = np.array(f_light)[gather]
-    c = c_light[gather]
+        ways, total = _light_ways(filling)
+        central = ways[-1] / total if size % 2 else 0.0
+        slopes.append(_slope(central, math.log(ways[0]) - math.log(total)))
+        f += [w / total for w in ways[1:half]]
+        mu += range(1, half)
+        levels += [filling.level] * (half - 1)
+        ratios += filling.ratios(support[1:half])
+        ends.append(len(f))
+    splits = level_splits(np.array(levels, dtype=np.int64), ratios, geometry)
+    c = np.array(mu, dtype=np.int64) * splits
+    f_col = np.array(f)
     return [
-        WorkDecomposition(slope=slope, absorbed=float(f[a:b] @ c[a:b]))
-        for slope, a, b in zip(slopes, starts.tolist(), ends.tolist())
+        WorkDecomposition(slope=slope, absorbed=2.0 * float(f_col[a:b] @ c[a:b]))
+        for slope, a, b in zip(slopes, [0] + ends, ends)
     ]
 
 

@@ -42,7 +42,9 @@ def test_workload_warmup_items_pass_their_checks(workloads, name, tmp_path):
     assert outcome.failed_checks == {}
 
 
-@pytest.mark.parametrize("name,count", [("oracle_cycle", 48), ("phase_cli", 12)])
+@pytest.mark.parametrize(
+    "name,count", [("oracle_cycle", 48), ("phase_cli", 12), ("closed_form_scan", 120)]
+)
 def test_first_seed_one_items_pass_their_checks(workloads, name, count, tmp_path):
     workload = workloads.WORKLOADS[name]
     run, check = workload.bind(str(tmp_path))

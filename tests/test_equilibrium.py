@@ -6,6 +6,7 @@ import pytest
 from spinszilard.core import WellGeometry
 from spinszilard.equilibrium import (
     WallAtBoundaryError,
+    WallPosition,
     boson_eq_ratio,
     fermion_eq_ratio,
     level_split_large_n,
@@ -73,10 +74,11 @@ def test_wall_position_mapping():
     assert wall_position(r, GEOM).position == pytest.approx(4.4249333402444217e-10, rel=1e-12)
 
 
-def test_wall_boundary_flag_and_split_error():
-    assert wall_position(0.0, GEOM).at_boundary
-    assert wall_position(math.inf, GEOM).at_boundary
-    assert not wall_position(1.0, GEOM).at_boundary
+def test_wall_boundary_ratios_and_split_error():
+    # ratios 0 and inf are kept as walls at the box ends; 1 is an interior wall
+    assert wall_position(0.0, GEOM) == WallPosition(ratio=0.0, position=0.0)
+    assert wall_position(math.inf, GEOM) == WallPosition(ratio=math.inf, position=GEOM.length)
+    assert 0.0 < wall_position(1.0, GEOM).position < GEOM.length
     with pytest.raises(WallAtBoundaryError):
         level_splits(1, [0.0], GEOM)
     # the column form raises on any boundary ratio instead of returning inf or nan

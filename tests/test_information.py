@@ -247,7 +247,7 @@ def reference_rows(filling):
 def level_split(level, ratio, geometry):
     """Exact |E_level(l) - E_level(L - l)| at one interior wall, from scalars."""
     wall = wall_position(ratio, geometry)
-    assert not wall.at_boundary
+    assert 0.0 < wall.ratio < math.inf
     left = wall.position
     right = geometry.length - wall.position
     return abs(level_energy(level, left, geometry) - level_energy(level, right, geometry))

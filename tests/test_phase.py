@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from spinszilard import boson, fermion, information, phase
 from spinszilard.boson import BosonFilling
 from spinszilard.core import BOLTZMANN, SpinStatistics, ThermalPoint, WellGeometry
-from spinszilard.fermion import decompose
+from spinszilard.fermion import FermionFilling, decompose
 
 GEOM = WellGeometry(length=1e-9, mass=1e-26)
 
@@ -150,6 +152,56 @@ def test_phase_curve_is_work_coefficients_bit_for_bit(geometry):
         outcomes = sum(len(phase.filling(spin, N).support) for N in n_values)
         crossed += outcomes > information.CHUNK_OUTCOMES
     assert crossed >= 6
+
+
+def test_absorbed_work_is_within_four_ulp_of_the_exact_sum():
+    """W_0 of both paths lies within 4 ulp of the exactly rounded sum f_m c_m of the table."""
+    for spin, n_values in CURVE_CASES:
+        n_values = list(n_values)[::7]
+        points = phase.phase_curve(spin, GEOM, n_values)
+        for N, point in zip(n_values, points):
+            table = information.outcome_table(phase.filling(spin, N), GEOM)
+            exact = float(sum(Fraction(f) * Fraction(c) for f, c in zip(table.f, table.c)))
+            for got in (point.coefficients.absorbed, table.work_coefficients().absorbed):
+                assert abs(got - exact) <= 4 * math.ulp(exact), (spin, N, got, exact)
+
+
+@pytest.mark.parametrize(
+    "spin,n_values",
+    [(SpinStatistics.fermion(1), range(0, 6000)), (SpinStatistics.boson(2), range(0, 200))],
+    ids=["fermion", "boson"],
+)
+def test_phase_curve_splits_once_per_chunk_and_reads_interior_ratios(
+    monkeypatch, spin, n_values
+):
+    """One ``level_splits`` call per chunk; each filling's ratios only over its interior."""
+    calls = {"chunks": 0, "splits": 0, "ratios": 0}
+    chunk_coefficients, level_splits = information._chunk_coefficients, information.level_splits
+
+    def counted_chunk(chunk, geometry):
+        calls["chunks"] += 1
+        return chunk_coefficients(chunk, geometry)
+
+    def counted_splits(*args):
+        calls["splits"] += 1
+        return level_splits(*args)
+
+    monkeypatch.setattr(information, "_chunk_coefficients", counted_chunk)
+    monkeypatch.setattr(information, "level_splits", counted_splits)
+    for kind in (BosonFilling, FermionFilling):
+        ratios = kind.ratios
+
+        def interior_ratios(filling, ms, ratios=ratios):
+            calls["ratios"] += 1
+            support = filling.support
+            assert ms == support[1 : len(support) // 2], (filling, ms)
+            return ratios(filling, ms)
+
+        monkeypatch.setattr(kind, "ratios", interior_ratios)
+    phase.phase_curve(spin, GEOM, n_values)
+    assert calls["chunks"] >= 3
+    assert calls["splits"] == calls["chunks"]
+    assert calls["ratios"] == len(n_values)
 
 
 def test_phase_curve_memory_does_not_grow_with_the_range():
