@@ -16,11 +16,18 @@ n_values = list(range(1, 61))
 # one curve, its work coefficients per N, serves both the T_c file and the grid
 fermion_curve = phase.phase_curve(SpinStatistics.fermion(9), geometry, n_values)
 
+
+def tc_cell(point):
+    """T_c [K], or an empty cell where D = 0; a T_c of 0.0 is a value, not a blank."""
+    tc = point.coefficients.critical_temperature
+    return "" if tc is None else tc
+
+
 with open("phase_fermion_u5.csv", "w", newline="") as handle:
     writer = csv.writer(handle)
     writer.writerow(["N", "T_c_kelvin"])
     for point in fermion_curve:
-        writer.writerow([point.N, point.critical_temperature if point.defined else ""])
+        writer.writerow([point.N, tc_cell(point)])
 
 with open("phase_boson.csv", "w", newline="") as handle:
     writer = csv.writer(handle)
@@ -28,9 +35,7 @@ with open("phase_boson.csv", "w", newline="") as handle:
     for two_s in (0, 2, 4):
         spin = SpinStatistics.boson(two_s)
         for point in phase.phase_curve(spin, geometry, n_values):
-            writer.writerow(
-                [two_s, point.N, point.critical_temperature if point.defined else ""]
-            )
+            writer.writerow([two_s, point.N, tc_cell(point)])
 
 temperatures = np.linspace(0.0, 1.0, 101)
 with open("work_u5.csv", "w", newline="") as handle:

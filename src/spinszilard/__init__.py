@@ -24,4 +24,4 @@ __all__ = [
     "level_energy",
 ]
 
-__version__ = "0.10.1"
+__version__ = "0.11.0"

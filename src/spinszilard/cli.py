@@ -321,7 +321,9 @@ def cmd_work(args: argparse.Namespace) -> int:
     points = phase.phase_curve(spin, geometry, n_values)
     t_arr = np.array(t_values)
     # the undefined cells: Wtot_per_kBT at T = 0 and Tc_kelvin where a point has no T_c
-    undefined = min(t_values) <= 0 or not all(point.defined for point in points)
+    undefined = min(t_values) <= 0 or any(
+        point.coefficients.critical_temperature is None for point in points
+    )
     if args.strict and undefined:
         raise StrictUndefinedError()
 
@@ -337,7 +339,8 @@ def cmd_work(args: argparse.Namespace) -> int:
 
     def tails(point: phase.PhasePoint) -> Iterator[tuple[str, str, str, str]]:
         """The cells of each temperature, in ``t_values`` order."""
-        tc = _fmt(point.critical_temperature) if point.defined else UNDEFINED
+        tc = point.coefficients.critical_temperature
+        tc = UNDEFINED if tc is None else _fmt(tc)
         for T, w in zip(t_values, point.work(t_arr).tolist()):
             # _fmt's format, inlined: this is formed once per (N, T) cell
             per_kbt = f"{w / (BOLTZMANN * T):.8e}" if T > 0 else UNDEFINED
@@ -408,14 +411,15 @@ def cmd_phase(args: argparse.Namespace) -> int:
     lead = ["two_s"] if len(spins) > 1 else []
     # one curve per spin serves both the T_c table and the work grid
     curves = [(spin, phase.phase_curve(spin, geometry, n_values)) for spin in spins]
-    if args.strict and not all(point.defined for _, points in curves for point in points):
+    if args.strict and any(point.coefficients.critical_temperature is None
+                           for _, points in curves for point in points):
         raise StrictUndefinedError()
     lines = (
         _line([spin.twice_spin] * len(lead)
-              + [point.N, point.critical_temperature if point.defined else UNDEFINED,
-                 str(point.defined).lower()])
+              + [point.N, UNDEFINED if tc is None else tc, str(tc is not None).lower()])
         for spin, points in curves
         for point in points
+        for tc in [point.coefficients.critical_temperature]
     )
     _write_csv(args.out, lead + ["N", "T_c_kelvin", "defined"], lines)
     if t_values:
@@ -479,6 +483,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise ConfigError("oracle is restricted to degeneracy 2s+1 <= 12")
     thermal = _thermal(args)
     tolerance = args.tolerance if args.tolerance is not None else 1e-3
+    if tolerance < 0:
+        raise ConfigError("--tolerance must be >= 0")
     L = geometry.length
 
     cycle = oracle.ensemble_cycle(N, spin, geometry, thermal)
@@ -493,12 +499,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     for m in range(N + 1):
         f_exact = float(cycle.distribution.probabilities[m])
         f_analytic = 0.0
-        leq_exact = cycle.equilibria[m].position / L
+        leq_exact = cycle.equilibria[m] / L
         leq_analytic: float | None = None
         if m in filling.support:
             row = m - filling.support[0]
             f_analytic = float(table.f[row])
-            leq_analytic = wall_position(ratios[row], geometry).position / L
+            leq_analytic = wall_position(ratios[row], geometry) / L
         delta_f = abs(f_exact - f_analytic)
         max_df = max(max_df, delta_f)
         delta_l = abs(leq_exact - leq_analytic) if leq_analytic is not None else 0.0

@@ -172,6 +172,11 @@ class WorkDecomposition:
     def total_work(self, thermal: ThermalPoint) -> float:
         return self.slope * BOLTZMANN * thermal.temperature - self.absorbed
 
+    @property
+    def critical_temperature(self) -> float | None:
+        """T_c = W_0 / (D k_B) [K], where the work changes sign; None where D = 0."""
+        return self.absorbed / (self.slope * BOLTZMANN) if self.slope > 0.0 else None
+
     def __post_init__(self) -> None:
         if self.slope < 0 or self.absorbed < 0:
             raise ValueError("slope and absorbed work must be non-negative")

@@ -9,7 +9,6 @@ outcomes need them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,14 +23,6 @@ _AT_BOUNDARY = (
     "level splitting is undefined with the wall at a box end; "
     "the measurement weight is 1 there by convention"
 )
-
-
-@dataclass(frozen=True)
-class WallPosition:
-    """Equilibrium wall position, as ratio r = l/(L-l) and absolute meters."""
-
-    ratio: float
-    position: float
 
 
 def fermion_eq_ratio(u: int, n: int, k: int, p: int) -> float:
@@ -63,13 +54,13 @@ def boson_eq_ratio(m: int, N: int) -> float:
     return (m / (N - m)) ** (1.0 / 3.0)
 
 
-def wall_position(ratio: float, geometry: WellGeometry) -> WallPosition:
-    """Convert a ratio r = l/(L-l) to an absolute wall position l = L r/(1+r)."""
+def wall_position(ratio: float, geometry: WellGeometry) -> float:
+    """Convert a ratio r = l/(L-l) to an absolute wall position l = L r/(1+r) [m]."""
     if not (ratio >= 0):
         raise ValueError(f"ratio must be >= 0 (or inf), got {ratio}")
     if math.isinf(ratio):
-        return WallPosition(ratio=math.inf, position=geometry.length)
-    return WallPosition(ratio=ratio, position=geometry.length * ratio / (1.0 + ratio))
+        return geometry.length
+    return geometry.length * ratio / (1.0 + ratio)
 
 
 def level_splits(

@@ -27,8 +27,6 @@ from .core import (
     WellGeometry,
     level_energy,
 )
-from .equilibrium import WallPosition
-
 #: The most levels a box DP may add before ln Z must have stopped changing.
 MAX_LEVEL_CUTOFF = 1024
 #: Step, as a fraction of L, at which the Newton wall search stops.
@@ -186,8 +184,8 @@ def ln_z_derivatives(
 
 def exact_equilibria(
     N: int, spin: SpinStatistics, geometry: WellGeometry, thermal: ThermalPoint
-) -> tuple[WallPosition, ...]:
-    """Wall positions maximizing ln Z_m for m = 0..N.
+) -> tuple[float, ...]:
+    """Wall positions [m] maximizing ln Z_m for m = 0..N.
 
     Each lighter-half outcome 0 < m < N/2 gets one safeguarded Newton search
     for the zero of ln Z_m's slope on (0, L/2), where its one maximum lies. It
@@ -232,20 +230,19 @@ def exact_equilibria(
     central = [0.5 * L] if N % 2 == 0 else []
     heavier = [L - pos for pos in reversed(lighter)]
     # an empty well has only its wall at 0
-    positions = lighter + central + heavier if N else lighter
-    return tuple(
-        WallPosition(ratio=pos / (L - pos) if pos < L else math.inf, position=pos)
-        for pos in positions
-    )
+    return tuple(lighter + central + heavier if N else lighter)
 
 
 @dataclass(frozen=True)
 class OracleCycle:
-    """Exact per-cycle quantities at one temperature, the wall inserted at L/2."""
+    """Exact per-cycle quantities at one temperature, the wall inserted at L/2.
+
+    ``equilibria`` holds each outcome m's equilibrium wall position [m], m = 0..N.
+    """
 
     N: int
     distribution: MeasurementDistribution
-    equilibria: tuple[WallPosition, ...]
+    equilibria: tuple[float, ...]
     post_expansion: np.ndarray
     total_work: float
 
@@ -266,7 +263,7 @@ def ensemble_cycle(
     log_fstar = np.zeros(N + 1)  # at a boundary Z_m is the only surviving term
     for m in range(1, N // 2 + 1):
         # the mirrored wall of N - m sees this ln Z vector reversed: f*_{N-m} = f*_m
-        log_zn = split_partition(N, equilibria[m].position, spin, geometry, thermal)
+        log_zn = split_partition(N, equilibria[m], spin, geometry, thermal)
         log_fstar[m] = log_fstar[N - m] = log_zn[m] - np.logaddexp.reduce(log_zn)
     acc = 0.0
     for m in range(N + 1):

@@ -1,57 +1,37 @@
-"""Critical temperatures, work over temperature and extremal configurations.
+"""Phase curves, work over temperature and extremal configurations.
 
 A configuration with positive slope D has a single sign change of the
-total work at T_c = W_0 / (D k_B). Configurations with D = 0 (fermion
-k = 0, boson N = 0) have no transition; they are carried as explicit
-``None`` markers, never NaN, so file consumers can tell "no transition"
-from numeric failure.
+total work at T_c = W_0 / (D k_B), its coefficients'
+``critical_temperature``. Configurations with D = 0 (fermion k = 0,
+boson N = 0) have no transition; their T_c is ``None``, never NaN, so file
+consumers can tell "no transition" from numeric failure.
 
 ``phase_curve`` keeps each N's work coefficients D and W_0 as a ``PhasePoint``;
 they come from one chunked pass over the whole N range
 (``information.work_coefficients_each``), with no outcome table, and carry the
-bits of ``information.work_coefficients``. A point's T_c and its work at given
-temperatures (one row of the (N, T) work grid) reduce those two numbers.
+bits of ``information.work_coefficients``. A point's work at given
+temperatures (one row of the (N, T) work grid) reduces those two numbers, and
+``extremal_report`` reads every field from one such curve.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .boson import BosonFilling
-from .core import (
-    BOLTZMANN,
-    ParticleKind,
-    SpinStatistics,
-    WellGeometry,
-    WorkDecomposition,
-)
+from .core import BOLTZMANN, ParticleKind, SpinStatistics, WellGeometry, WorkDecomposition
 from .fermion import FermionFilling, decompose
 from .information import work_coefficients_each
 
 
-class UndefinedQuantityError(ValueError):
-    """A requested quantity has no definition for this configuration."""
-
-
 @dataclass(frozen=True, slots=True)
 class PhasePoint:
-    """One particle number's work coefficients, and the transition they imply."""
+    """One particle number's work coefficients; their ``critical_temperature`` is its T_c."""
 
     N: int
     coefficients: WorkDecomposition
-
-    @property
-    def defined(self) -> bool:
-        """Whether the work changes sign: a zero slope D has no transition."""
-        return self.coefficients.slope > 0.0
-
-    @property
-    def critical_temperature(self) -> float | None:
-        """T_c = W_0 / (D k_B), or None where D = 0."""
-        return critical_temperature(self.coefficients) if self.defined else None
 
     def work(self, temperatures: np.ndarray) -> np.ndarray:
         """Total work D k_B T - W_0 [J] at each temperature, as ``total_work`` forms it."""
@@ -66,13 +46,6 @@ def filling(spin: SpinStatistics, N: int) -> FermionFilling | BosonFilling:
     if spin.kind is ParticleKind.FERMION:
         return decompose(N, spin.u)
     return BosonFilling(N=N, s=spin.s)
-
-
-def critical_temperature(coeffs: WorkDecomposition) -> float:
-    """Temperature where the affine work law changes sign, W_0 / (D k_B)."""
-    if coeffs.slope == 0.0:
-        raise UndefinedQuantityError("no transition: the work slope D is zero")
-    return coeffs.absorbed / (coeffs.slope * BOLTZMANN)
 
 
 def phase_curve(
@@ -98,41 +71,33 @@ class ExtremalReport:
     max_work_configs: tuple[int, ...]
     max_work_per_kbt: float
     unit_efficiency_configs: tuple[int, ...]
-    boson_beats_fermion_max_work: bool = True
+    boson_beats_fermion_max_work: bool
 
 
 def extremal_report(spin: SpinStatistics, geometry: WellGeometry) -> ExtremalReport:
     """Summarize where the engine extracts most, absorbs nothing, or runs reversibly.
 
-    Fermion entries index the remainder k in [0, 4u); boson entries index N.
-    The boson-over-fermion maximum-work comparison is evaluated, not assumed.
+    Every field is read from one phase curve over the candidates: the remainder
+    k in [0, 4u) for fermions, N in [0, 2] for bosons. Zero absorption is
+    W_0 = 0; the maximum work per k_BT is the largest D among those
+    configurations, and unit efficiency is a measurement with exactly two
+    outcomes. The boson-over-fermion flag compares that maximum with the other
+    species' own curve: the spinless boson pair, or one spin-1/2 fermion.
     """
-    ln2 = math.log(2.0)
-    if spin.kind is ParticleKind.FERMION:
-        u = spin.u
-        candidates = range(4 * u)
-        max_cfg = tuple(sorted({1, 4 * u - 1}))
-        unit_cfg = max_cfg
-        # weakest boson competitor in the scan: the spinless N=2 engine
-        best = ln2
-        boson_best = (2.0 / 3.0) * math.log(3.0)
-    else:
-        s = spin.s
-        candidates = range(3)
-        max_cfg = (2,)
-        unit_cfg = (1,)
-        best = (2.0 * s + 2.0) / (4.0 * s + 3.0) * math.log((4.0 * s + 3.0) / (s + 1.0))
-        boson_best = best
-    zero = tuple(
-        point.N
-        for point in phase_curve(spin, geometry, candidates)
-        if point.coefficients.absorbed == 0.0
-    )
+    fermions = spin.kind is ParticleKind.FERMION
+    points = phase_curve(spin, geometry, range(4 * spin.u if fermions else 3))
+    zero = [point for point in points if point.coefficients.absorbed == 0.0]
+    best = max(point.coefficients.slope for point in zero)
+    rival = SpinStatistics.boson(0) if fermions else SpinStatistics.fermion(1)
+    (other,) = phase_curve(rival, geometry, [2 if fermions else 1])
+    rival_best = other.coefficients.slope
     return ExtremalReport(
         species=spin.kind,
-        zero_absorption=zero,
-        max_work_configs=max_cfg,
+        zero_absorption=tuple(point.N for point in zero),
+        max_work_configs=tuple(point.N for point in zero if point.coefficients.slope == best),
         max_work_per_kbt=best,
-        unit_efficiency_configs=unit_cfg,
-        boson_beats_fermion_max_work=boson_best > ln2,
+        unit_efficiency_configs=tuple(
+            point.N for point in points if len(filling(spin, point.N).support) == 2
+        ),
+        boson_beats_fermion_max_work=rival_best > best if fermions else best > rival_best,
     )

@@ -292,10 +292,8 @@ def test_criterion_08_oracle_equivalence():
                         ratio = fermion_eq_ratio(spin.u, filling.n, filling.k, p)
                     else:
                         ratio = boson_eq_ratio(m, N)
-                    analytic_pos = wall_position(ratio, GEOM).position
-                    worst_dl = max(
-                        worst_dl, abs(cycle.equilibria[m].position - analytic_pos) / L
-                    )
+                    analytic_pos = wall_position(ratio, GEOM)
+                    worst_dl = max(worst_dl, abs(cycle.equilibria[m] - analytic_pos) / L)
                 worst_df = max(
                     worst_df, abs(cycle.distribution.probabilities[m] - f_closed)
                 )
@@ -421,10 +419,8 @@ def test_criterion_11_large_spin_boson_limits():
 
 
 def test_criterion_12_critical_temperature_spots():
-    tc_f = phase.critical_temperature(fermion.work_coefficients(decompose(3, 5), GEOM))
-    tc_b = phase.critical_temperature(
-        boson.work_coefficients(BosonFilling(N=3, s=0), GEOM)
-    )
+    tc_f = fermion.work_coefficients(decompose(3, 5), GEOM).critical_temperature
+    tc_b = boson.work_coefficients(BosonFilling(N=3, s=0), GEOM).critical_temperature
     spot_ok = abs(tc_f - 0.263326) < 1e-3 and abs(tc_b - 0.270829) < 1e-3
 
     temps = np.linspace(0.0, 0.6, 121)
@@ -437,17 +433,13 @@ def test_criterion_12_critical_temperature_spots():
         previous = None
         for s in range(1, 8):
             coeffs = boson.work_coefficients(BosonFilling(N=N, s=s), GEOM)
-            tc = phase.critical_temperature(coeffs)
+            tc = coeffs.critical_temperature
             if previous is not None:
                 monotone_ok = monotone_ok and tc < previous
             previous = tc
     for N in (5, 6):
-        tc0 = phase.critical_temperature(
-            boson.work_coefficients(BosonFilling(N=N, s=0), GEOM)
-        )
-        tc1 = phase.critical_temperature(
-            boson.work_coefficients(BosonFilling(N=N, s=1), GEOM)
-        )
+        tc0 = boson.work_coefficients(BosonFilling(N=N, s=0), GEOM).critical_temperature
+        tc1 = boson.work_coefficients(BosonFilling(N=N, s=1), GEOM).critical_temperature
         monotone_ok = monotone_ok and tc1 < tc0
     ok = spot_ok and flip_ok and monotone_ok
     report(12, "critical-temperature-spots", ok, f"Tc_F {tc_f:.6f} K, Tc_B {tc_b:.6f} K")

@@ -774,6 +774,7 @@ def test_large_spin_finite_output(argv, capsys):
         "work --species fermion --two-s 9 --n 3 --temp 0.1 --mass 1e-320",
         "efficiency --species fermion --two-s 1 --n 2 --temp 1e-300",
         "oracle --species fermion --two-s 9 --n 3 --temp 0.02 --tolerance nan",
+        "oracle --species fermion --two-s 1 --n 2 --temp 0.1 --tolerance -1",
         # an empty well has no wall equilibrium to compare
         "oracle --species fermion --two-s 1 --n 0 --temp 0.01",
         "oracle --species boson --two-s 0 --n 0 --temp 0.01",

@@ -71,6 +71,9 @@ INVOCATIONS = [
     ("oracle --species fermion --two-s 3 --n 5 --temp 0.02 --tolerance 1 --format csv --out o.csv", None),
     ("limits --species boson --two-s 0 --n-range 0:300 --out lb.csv", None),
     ("efficiency --species boson --two-s 2 --n-range 0:40 --temp 0.1 --out e2.csv", None),
+    # an even N in CSV (edge walls at 0 and L, the central one at L/2), and an undefined T_c
+    ("oracle --species boson --two-s 0 --n 6 --temp 0.05 --format csv", None),
+    ("work --species boson --two-s 0 --n 0 --temp 0.1", None),
 ]
 
 

@@ -6,7 +6,6 @@ import pytest
 from spinszilard.core import WellGeometry
 from spinszilard.equilibrium import (
     WallAtBoundaryError,
-    WallPosition,
     boson_eq_ratio,
     fermion_eq_ratio,
     level_split_large_n,
@@ -66,19 +65,19 @@ def test_boson_ratio():
 
 
 def test_wall_position_mapping():
-    assert wall_position(1.0, GEOM).position == pytest.approx(0.5e-9)
-    assert wall_position(0.0, GEOM).position == 0.0
-    assert wall_position(math.inf, GEOM).position == GEOM.length
+    assert wall_position(1.0, GEOM) == pytest.approx(0.5e-9)
+    assert wall_position(0.0, GEOM) == 0.0
+    assert wall_position(math.inf, GEOM) == GEOM.length
     r = 0.5 ** (1 / 3)
     # frozen: l = L r/(1+r) for r^3 = 1/2
-    assert wall_position(r, GEOM).position == pytest.approx(4.4249333402444217e-10, rel=1e-12)
+    assert wall_position(r, GEOM) == pytest.approx(4.4249333402444217e-10, rel=1e-12)
 
 
 def test_wall_boundary_ratios_and_split_error():
     # ratios 0 and inf are kept as walls at the box ends; 1 is an interior wall
-    assert wall_position(0.0, GEOM) == WallPosition(ratio=0.0, position=0.0)
-    assert wall_position(math.inf, GEOM) == WallPosition(ratio=math.inf, position=GEOM.length)
-    assert 0.0 < wall_position(1.0, GEOM).position < GEOM.length
+    assert wall_position(0.0, GEOM) == 0.0
+    assert wall_position(math.inf, GEOM) == GEOM.length
+    assert 0.0 < wall_position(1.0, GEOM) < GEOM.length
     with pytest.raises(WallAtBoundaryError):
         level_splits(1, [0.0], GEOM)
     # the column form raises on any boundary ratio instead of returning inf or nan

@@ -246,10 +246,9 @@ def reference_rows(filling):
 
 def level_split(level, ratio, geometry):
     """Exact |E_level(l) - E_level(L - l)| at one interior wall, from scalars."""
-    wall = wall_position(ratio, geometry)
-    assert 0.0 < wall.ratio < math.inf
-    left = wall.position
-    right = geometry.length - wall.position
+    assert 0.0 < ratio < math.inf
+    left = wall_position(ratio, geometry)
+    right = geometry.length - left
     return abs(level_energy(level, left, geometry) - level_energy(level, right, geometry))
 
 

@@ -152,17 +152,17 @@ def test_exact_equilibrium_boundaries_and_symmetry():
     spin = SpinStatistics.boson(0)
     thermal = thermal_at(0.1)
     walls = oracle.exact_equilibria(2, spin, GEOM, thermal)
-    assert walls[0].position == 0.0
-    assert walls[2].position == L
+    assert walls[0] == 0.0
+    assert walls[2] == L
     mid = walls[1]
-    assert mid.position == pytest.approx(0.5 * L, rel=1e-6)
+    assert mid == pytest.approx(0.5 * L, rel=1e-6)
 
 
 def test_exact_equilibrium_matches_cubic_rule():
     # one of three spinless bosons on the left: l_eq/L from r^3 = 1/2
     wall = oracle.exact_equilibria(3, SpinStatistics.boson(0), GEOM, thermal_at(0.05))[1]
     r = 0.5 ** (1 / 3)
-    assert wall.position / L == pytest.approx(r / (1 + r), abs=1e-12)
+    assert wall / L == pytest.approx(r / (1 + r), abs=1e-12)
 
 
 def fermion_ground_pressure(count, degeneracy):
@@ -187,8 +187,8 @@ def test_cold_walls_are_the_cubic_rule_walls(spin):
                 # off the support only fermions: the filled-level balance
                 left, right = (fermion_ground_pressure(c, spin.degeneracy) for c in (m, N - m))
                 ratio = (left / right) ** (1 / 3)
-            expected = wall_position(ratio, GEOM).position
-            assert abs(walls[m].position - expected) <= 1e-12 * L, (N, m)
+            expected = wall_position(ratio, GEOM)
+            assert abs(walls[m] - expected) <= 1e-12 * L, (N, m)
 
 
 @pytest.mark.parametrize("kbt", [0.02, 0.5, 2.0, 30.0])
@@ -199,7 +199,7 @@ def test_lighter_half_walls_are_stationary(spin, kbt):
     for N in range(2, 7):
         walls = oracle.exact_equilibria(N, spin, GEOM, thermal)
         for m in range(1, (N + 1) // 2):
-            slope, curvature = oracle.ln_z_derivatives(N, m, walls[m].position, spin, GEOM, thermal)
+            slope, curvature = oracle.ln_z_derivatives(N, m, walls[m], spin, GEOM, thermal)
             assert curvature < 0
             assert abs(slope / curvature) <= 1e-10 * L, (N, m)
 
@@ -329,7 +329,7 @@ def test_ensemble_cycle_pinned_bits(spin, N, kbt, work, walls):
     """W and every wall position, bit for bit as the lighter-half wall search gives them."""
     cycle = oracle.ensemble_cycle(N, spin, GEOM, thermal_at(kbt))
     assert float(cycle.total_work).hex() == work
-    assert [float(wall.position).hex() for wall in cycle.equilibria] == walls
+    assert [float(wall).hex() for wall in cycle.equilibria] == walls
 
 
 @pytest.mark.parametrize("N", range(2, 7))
@@ -340,9 +340,9 @@ def test_exact_equilibria_mirror(spin, N):
     walls = oracle.exact_equilibria(N, spin, GEOM, thermal_at(0.5))
     assert len(walls) == N + 1
     for m in range(N // 2 + 1):
-        assert walls[N - m].position == L - walls[m].position
+        assert walls[N - m] == L - walls[m]
     if N % 2 == 0:
-        assert walls[N // 2].position == 0.5 * L
+        assert walls[N // 2] == 0.5 * L
 
 
 @pytest.mark.parametrize("kbt", [0.02, 2.0, 30.0])
@@ -357,4 +357,4 @@ def test_lighter_half_walls_sit_at_the_scan_maximum(spin, kbt):
         walls = oracle.exact_equilibria(N, spin, GEOM, thermal)
         for m in range(1, (N + 1) // 2):
             best = grid[np.argmax(scan[:, m])]
-            assert abs(walls[m].position - best) <= grid[1] - grid[0]
+            assert abs(walls[m] - best) <= grid[1] - grid[0]

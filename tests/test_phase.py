@@ -7,7 +7,7 @@ import pytest
 
 from spinszilard import boson, fermion, information, phase
 from spinszilard.boson import BosonFilling
-from spinszilard.core import BOLTZMANN, SpinStatistics, ThermalPoint, WellGeometry
+from spinszilard.core import BOLTZMANN, ParticleKind, SpinStatistics, ThermalPoint, WellGeometry
 from spinszilard.fermion import FermionFilling, decompose
 
 GEOM = WellGeometry(length=1e-9, mass=1e-26)
@@ -15,7 +15,7 @@ GEOM = WellGeometry(length=1e-9, mass=1e-26)
 
 def test_critical_temperature_spot_fermion():
     coeffs = fermion.work_coefficients(decompose(3, 5), GEOM)
-    tc = phase.critical_temperature(coeffs)
+    tc = coeffs.critical_temperature
     assert tc == pytest.approx(0.2634385021895925, rel=1e-12)
     # the work really changes sign there
     assert coeffs.total_work(ThermalPoint(tc * 0.99)) < 0
@@ -24,31 +24,28 @@ def test_critical_temperature_spot_fermion():
 
 def test_critical_temperature_spot_boson():
     coeffs = boson.work_coefficients(BosonFilling(N=3, s=0), GEOM)
-    assert phase.critical_temperature(coeffs) == pytest.approx(
+    assert coeffs.critical_temperature == pytest.approx(
         0.27094923379794955, rel=1e-12
     )
 
 
 def test_critical_temperature_zero_when_no_absorption():
     coeffs = fermion.work_coefficients(decompose(1, 5), GEOM)
-    assert phase.critical_temperature(coeffs) == 0.0
+    assert coeffs.critical_temperature == 0.0
 
 
 def test_critical_temperature_undefined_for_zero_slope():
     coeffs = fermion.work_coefficients(decompose(20, 5), GEOM)
-    with pytest.raises(phase.UndefinedQuantityError):
-        phase.critical_temperature(coeffs)
+    assert coeffs.critical_temperature is None
 
 
 def test_phase_curve_markers():
     spin = SpinStatistics.fermion(9)  # u = 5
     points = phase.phase_curve(spin, GEOM, range(1, 41))
     by_n = {p.N: p for p in points}
-    assert not by_n[20].defined
-    assert by_n[20].critical_temperature is None
-    assert not by_n[40].defined
-    assert by_n[3].defined
-    assert by_n[3].critical_temperature == pytest.approx(0.2634385021895925, rel=1e-12)
+    assert by_n[20].coefficients.critical_temperature is None
+    assert by_n[40].coefficients.critical_temperature is None
+    assert by_n[3].coefficients.critical_temperature == pytest.approx(0.2634385021895925, rel=1e-12)
     with pytest.raises(ValueError):
         phase.phase_curve(spin, GEOM, [])
 
@@ -64,14 +61,18 @@ def test_phase_curve_boson_monotone_in_spin():
         previous = None
         for s in range(1, 8):
             point = phase.phase_curve(SpinStatistics.boson(2 * s), GEOM, [N])[0]
-            assert point.defined
+            tc = point.coefficients.critical_temperature
+            assert tc is not None
             if previous is not None:
-                assert point.critical_temperature < previous
-            previous = point.critical_temperature
+                assert tc < previous
+            previous = tc
     for N in (5, 6, 10):
         spinless = phase.phase_curve(SpinStatistics.boson(0), GEOM, [N])[0]
         spin_one = phase.phase_curve(SpinStatistics.boson(2), GEOM, [N])[0]
-        assert spin_one.critical_temperature < spinless.critical_temperature
+        assert (
+            spin_one.coefficients.critical_temperature
+            < spinless.coefficients.critical_temperature
+        )
 
 
 def test_phase_point_work_values():
@@ -114,11 +115,11 @@ def test_phase_point_reads_its_coefficients():
     for point in phase.phase_curve(spin, GEOM, range(0, 45)):
         coeffs = fermion.work_coefficients(decompose(point.N, 5), GEOM)
         assert point.coefficients == coeffs
-        assert point.defined == (coeffs.slope > 0)
-        if point.defined:
-            assert point.critical_temperature == phase.critical_temperature(coeffs)
+        tc = point.coefficients.critical_temperature
+        if coeffs.slope > 0:
+            assert tc == coeffs.absorbed / (coeffs.slope * BOLTZMANN)
         else:
-            assert point.critical_temperature is None
+            assert tc is None
 
 
 #: (spin, N values): fermion and boson ranges that span many chunks, one support
@@ -223,3 +224,33 @@ def test_phase_curve_memory_does_not_grow_with_the_range():
     single = traced_peak([3000])
     curve = traced_peak(range(0, 3001, 25))
     assert curve < 2 * single, (single, curve)
+
+
+def test_extremal_report_holds_the_paper_claims():
+    """The paper's extremal claims at T = 0, for fermion 2s <= 59 and boson 2s <= 58.
+
+    ``extremal_report`` holds no closed form; it reads them from the curve. Zero
+    absorption is exactly the measurements with at most three outcomes. The
+    maximum work is ln 2 per k_BT at fermion k = 1 and 4u - 1, and
+    (2s+2)/(4s+3) ln((4s+3)/(s+1)) at the boson pair; unit efficiency is fermion
+    k = 1 and 4u - 1, or one boson; the spinless boson pair beats the fermions,
+    and every boson pair beats one spin-1/2 fermion.
+    """
+    for spin in [SpinStatistics.fermion(t) for t in range(1, 60, 2)] + [
+        SpinStatistics.boson(t) for t in range(0, 59, 2)
+    ]:
+        report = phase.extremal_report(spin, GEOM)
+        if spin.kind is ParticleKind.FERMION:
+            u = spin.u
+            candidates, max_work, reversible = range(4 * u), (1, 4 * u - 1), (1, 4 * u - 1)
+            best = math.log(2.0)
+        else:
+            s = spin.s
+            candidates, max_work, reversible = range(3), (2,), (1,)
+            best = (2 * s + 2) / (4 * s + 3) * math.log((4 * s + 3) / (s + 1))
+        few = tuple(N for N in candidates if len(phase.filling(spin, N).support) <= 3)
+        assert report.zero_absorption == few, spin
+        assert report.max_work_configs == max_work, spin
+        assert abs(report.max_work_per_kbt - best) <= 1e-14 * best, spin
+        assert report.unit_efficiency_configs == reversible, spin
+        assert report.boson_beats_fermion_max_work, spin
