@@ -2,17 +2,16 @@
 
 All N bosons condense onto the first level of their half of the well, so
 the measurement outcome m ranges over the full [0, N] and the statistical
-weights count (2s+1)-fold degenerate bosonic occupations.
+weights count (2s+1)-fold degenerate bosonic occupations. A half's wall load
+is its particle count. As s -> infinity the counts become C(N, m) (``LargeSpinBosons``).
 """
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
 from .combinatorics import binomial_diagonal, binomial_row
-from .core import WellGeometry, WorkDecomposition
-from .equilibrium import boson_eq_ratio, level_splits
+from .equilibrium import eq_ratio
 from .information import (  # noqa: F401  (re-exported species-agnostic path)
     measurement_distribution,
     relative_entropy_work,
@@ -56,27 +55,27 @@ class BosonFilling:
         return list(map(operator.mul, left, reversed(right)))
 
     def ratios(self, ms: range) -> list[float]:
-        """The cubic-rule wall ratio (m/(N-m))^(1/3) of each outcome m."""
-        return [boson_eq_ratio(m, self.N) for m in ms]
+        """The wall ratio (m/(N-m))^(1/3) of each outcome m: the loads are the counts."""
+        return [eq_ratio(m, self.N - m) for m in ms]
 
 
-def large_spin_limits(N: int, geometry: WellGeometry) -> WorkDecomposition:
-    """s -> infinity limits of (D_B, W_0B) at fixed particle number."""
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
-    if N == 0:
-        return WorkDecomposition(slope=0.0, absorbed=0.0)
-    if N % 2 == 1:
-        slope = N * math.log(2.0)
-        upper = (N - 1) // 2
-    else:
-        slope = (1.0 - math.comb(N, N // 2) / 2**N) * N * math.log(2.0)
-        upper = N // 2 - 1
-    ms = range(1, upper + 1)
-    splits = level_splits(1, [boson_eq_ratio(m, N) for m in ms], geometry)
-    scale = 2 ** (N - 1)
-    absorbed = 0.0
-    for m, count, split in zip(ms, binomial_row(N, 1, upper), splits.tolist()):
-        # exact integer division: m C(N, m) and 2^N overflow a float from N = 1021
-        absorbed += m * count / scale * split
-    return WorkDecomposition(slope=slope, absorbed=absorbed)
+@dataclass(frozen=True)
+class LargeSpinBosons:
+    """The s -> infinity limit of N bosons: each one is on either side with probability 1/2.
+
+    Only the counts change, to C(N, m); the outcomes, level and walls are ``BosonFilling``'s.
+    """
+
+    N: int
+
+    def __post_init__(self) -> None:
+        if self.N < 0:
+            raise ValueError(f"N must be >= 0, got {self.N}")
+
+    support = BosonFilling.support
+    level = BosonFilling.level
+    ratios = BosonFilling.ratios
+
+    def ways(self, ms: range) -> list[int]:
+        """C(N, m) of each outcome m, one run along row N."""
+        return binomial_row(self.N, ms.start, len(ms))

@@ -561,19 +561,16 @@ def cmd_limits(args: argparse.Namespace) -> int:
     if spin.kind is ParticleKind.FERMION:
         if args.n is not None or args.n_range is not None:
             raise ConfigError("fermion limits index k in [0, 4u); --n and --n-range are for bosons")
-        u = spin.u
         header = ["k", "D_F", "avg_W0F_limit_joule", "avg_W0F_limit_per_E0"]
-        # (k, D_F, the k-averaged W_0F limit) of each row; D_F of every k from one pass
-        limits = (
-            (point.N, point.coefficients.slope,
-             fermion.average_absorbed_work_limit(u, point.N, geometry))
-            for point in phase.phase_curve(spin, geometry, range(4 * u))
-        )
+        # (k, D_F, the k-averaged W_0F limit) of each row, from one outcome table per k
+        limits = ((k, *fermion.filled_shell_limits(spin.u, k, geometry)) for k in range(4 * spin.u))
     else:
         header = ["N", "lim_D_B", "lim_W0B_joule", "lim_W0B_per_E0"]
-        # the outermost iterable runs now, so a bad --n-range exits 2 before any output
-        boson_limits = ((N, boson.large_spin_limits(N, geometry)) for N in _n_values(args))
-        limits = ((N, lim.slope, lim.absorbed) for N, lim in boson_limits)
+        n_values = _n_values(args)
+        coefficients = information.work_coefficients_each(
+            map(boson.LargeSpinBosons, n_values), geometry
+        )
+        limits = ((N, lim.slope, lim.absorbed) for N, lim in zip(n_values, coefficients))
     _write_csv(args.out, header, (_line([i, slope, w0, w0 / e0]) for i, slope, w0 in limits))
     return EXIT_OK
 

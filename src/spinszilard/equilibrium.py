@@ -1,10 +1,12 @@
 """Wall equilibrium positions and the level-energy splittings they induce.
 
-The low-temperature balance condition closes to a cubic in the ratio
-r = l_eq / (L - l_eq): r^3 equals a rational of the occupation numbers.
-Endpoint ratios 0 and inf are first-class values (wall pushed to a box
-end); they are never errors here because the m=0 and m=N measurement
-outcomes need them.
+After the measurement each wall settles where the ground-state pressures of
+its two halves balance. A half's load K is the sum of n^2 over the
+one-particle states its particles fill, and the balance closes to a cubic in
+the ratio r = l_eq / (L - l_eq): r^3 = K_left / K_right (``eq_ratio``). Each
+filling type passes its own loads. Endpoint ratios 0 and inf are first-class
+values (wall pushed to a box end); they are never errors here because the
+m=0 and m=N measurement outcomes need them.
 """
 from __future__ import annotations
 
@@ -25,33 +27,16 @@ _AT_BOUNDARY = (
 )
 
 
-def fermion_eq_ratio(u: int, n: int, k: int, p: int) -> float:
-    """Equilibrium ratio for p of k partially-filling fermions on the left.
+def eq_ratio(left: int, right: int) -> float:
+    """Equilibrium ratio (left/right)^(1/3) of two exact-integer loads.
 
-    r^3 = [u n (2n+1) + 3 p (n+1)] / [u n (2n+1) + 3 (k-p) (n+1)].
-    Returns inf when only the numerator survives, 1.0 for the symmetric load.
+    Returns inf when only the left half is loaded, 1.0 when neither is. The
+    loads are divided as integers, which Python rounds correctly, so any two
+    load pairs of the same ratio give the same bits.
     """
-    if u < 1 or n < 0:
-        raise ValueError(f"require u >= 1 and n >= 0, got u={u}, n={n}")
-    if p < 0 or p > k:
-        raise ValueError(f"require 0 <= p <= k, got p={p}, k={k}")
-    base = u * n * (2 * n + 1)
-    num = base + 3 * p * (n + 1)
-    den = base + 3 * (k - p) * (n + 1)
-    if den == 0:
-        return 1.0 if num == 0 else math.inf
-    return (num / den) ** (1.0 / 3.0)
-
-
-def boson_eq_ratio(m: int, N: int) -> float:
-    """Equilibrium ratio for m of N ground-level bosons on the left: (m/(N-m))^(1/3), 1 if N = 0."""
-    if N < 0:
-        raise ValueError(f"require N >= 0, got {N}")
-    if m < 0 or m > N:
-        raise ValueError(f"require 0 <= m <= N, got m={m}, N={N}")
-    if m == N:
-        return math.inf if N else 1.0
-    return (m / (N - m)) ** (1.0 / 3.0)
+    if right == 0:
+        return math.inf if left else 1.0
+    return (left / right) ** (1.0 / 3.0)
 
 
 def wall_position(ratio: float, geometry: WellGeometry) -> float:

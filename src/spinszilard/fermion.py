@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 from .combinatorics import binomial_row
 from .core import HBAR, WellGeometry
-from .equilibrium import fermion_eq_ratio
+from .equilibrium import eq_ratio
 from .information import (  # noqa: F401  (re-exported species-agnostic path)
     measurement_distribution,
+    outcome_table,
     relative_entropy_work,
     total_work,
     work_coefficients,
@@ -55,9 +56,14 @@ class FermionFilling:
         return list(map(operator.mul, left, right))
 
     def ratios(self, ms: range) -> list[float]:
-        """The cubic-rule wall ratio of each outcome m, with p = m - 2un."""
+        """The wall ratio of each outcome m, which leaves p = m - 2un remainder particles on the left.
+
+        A half holding p of them has load 2u (1 + 4 + ... + n^2) + p (n+1)^2, an exact integer.
+        """
+        shells = self.u * self.n * (self.n + 1) * (2 * self.n + 1) // 3
+        top = (self.n + 1) ** 2
         base = 2 * self.u * self.n
-        return [fermion_eq_ratio(self.u, self.n, self.k, m - base) for m in ms]
+        return [eq_ratio(shells + (m - base) * top, shells + (self.k + base - m) * top) for m in ms]
 
 
 def decompose(N: int, u: int) -> FermionFilling:
@@ -77,19 +83,22 @@ def average_absorbed_work(filling: FermionFilling, geometry: WellGeometry) -> fl
     return work_coefficients(filling, geometry).absorbed / filling.N
 
 
-def average_absorbed_work_limit(u: int, k: int, geometry: WellGeometry) -> float:
-    """Filled-shell limit of the average absorbed work; depends on (u, k) only.
+def filled_shell_limits(u: int, k: int, geometry: WellGeometry) -> tuple[float, float]:
+    """D_F at remainder k and the filled-shell limit of W_0F / N, from one outcome table.
 
-    Periodic in the particle number with period 4u and symmetric about k = 2u.
+    Both depend on (u, k) only: D_F is the slope of the N = k filling, and the
+    limit of the average absorbed work is periodic in N with period 4u and
+    symmetric about k = 2u. The limit is per particle, so it has no T_c.
     """
     if u < 1:
         raise ValueError(f"u must be >= 1, got {u}")
     if not 0 <= k < 4 * u:
         raise ValueError(f"require 0 <= k < 4u, got k={k}, u={u}")
-    probs = measurement_distribution(FermionFilling(N=k, u=u, n=0, k=k)).probabilities.tolist()
+    table = outcome_table(FermionFilling(N=k, u=u, n=0, k=k), geometry)
+    probs = table.f.tolist()
     kk = len(probs) - 1  # particles, or holes for k >= 2u, on the partly filled level
     total = 0.0
     for idx in range(1, (kk - 1) // 2 + 1):
         total += idx * probs[idx] * (kk - 2 * idx)
     scale = math.pi**2 * HBAR**2 / (u * u * geometry.mass * geometry.length**2)
-    return scale * total
+    return table.work_coefficients().slope, scale * total

@@ -3,7 +3,9 @@
 A species' filling type is its support, the partly filled ``level`` whose
 splitting sets f_m*, and two column builders over a range of outcomes:
 ``ways(ms)``, the exact configuration counts of the remainder, and
-``ratios(ms)``, the cubic-rule wall ratios l/(L - l). ``outcome_table`` calls
+``ratios(ms)``, the wall ratios l/(L - l), each ``equilibrium.eq_ratio`` of
+the filling's own two half loads. The s -> infinity boson limit
+(``boson.LargeSpinBosons``) is one more filling type. ``outcome_table`` calls
 each once per table, on the lighter half of the support only, and mirrors the
 rest (m <-> lo + hi - m): the total count is twice the lighter half's less the
 central outcome, and the edge count (all of the remainder on one side) is the
@@ -16,9 +18,9 @@ ln f_m* = lw_m - beta c_m, with lw_m = ln(ways/edge ways) and c_m = mu_m dE_m
 the wall). Every observable is a reduction over that table, for both species.
 W_0 is twice sum f_m c_m over the interior outcomes (0 < mu < size / 2), since
 f and c mirror and c is 0 at the edge and central outcomes. Only D and W_0 of
-many fillings at once (``work_coefficients_each``, behind ``phase.phase_curve``)
-skip the table: they come from flat interior columns, one pass per bounded
-chunk of fillings, with the table's bits.
+many fillings at once (``work_coefficients_each``, behind ``phase.phase_curve``
+and the boson rows of ``szilard limits``) skip the table: they come from flat
+interior columns, one pass per bounded chunk of fillings, with the table's bits.
 
 Entropies are kept in nats throughout (one bit = ln 2 nats); the erasure
 cost k_B T H(f) is identical either way and nats avoid conversion factors

@@ -18,12 +18,7 @@ from spinszilard.core import (
     ThermalPoint,
     WellGeometry,
 )
-from spinszilard.equilibrium import (
-    boson_eq_ratio,
-    fermion_eq_ratio,
-    level_split_large_n,
-    wall_position,
-)
+from spinszilard.equilibrium import level_split_large_n, wall_position
 from spinszilard.fermion import decompose
 
 GEOM = WellGeometry(length=1e-9, mass=1e-26)
@@ -287,11 +282,7 @@ def test_criterion_08_oracle_equivalence():
                 f_closed = 0.0  # outside the closed-form support
                 if m in filling.support:
                     f_closed = closed_dist.probabilities[m - closed_dist.support[0]]
-                    if spin.kind.value == "fermion":
-                        p = m - 2 * spin.u * filling.n
-                        ratio = fermion_eq_ratio(spin.u, filling.n, filling.k, p)
-                    else:
-                        ratio = boson_eq_ratio(m, N)
+                    (ratio,) = filling.ratios(range(m, m + 1))
                     analytic_pos = wall_position(ratio, GEOM)
                     worst_dl = max(worst_dl, abs(cycle.equilibria[m] - analytic_pos) / L)
                 worst_df = max(
@@ -355,7 +346,7 @@ def test_criterion_09_second_highest_efficiency():
 
 def test_criterion_10_large_n_periodic_limit():
     u, k = 5, 3
-    limit = fermion.average_absorbed_work_limit(u, k, GEOM)
+    _, limit = fermion.filled_shell_limits(u, k, GEOM)
 
     def asymptotic_average(n: int) -> float:
         N = 4 * u * n + k
@@ -375,8 +366,8 @@ def test_criterion_10_large_n_periodic_limit():
     ]
     exact_monotone = exact_devs[0] > exact_devs[1] > exact_devs[2]
     mirror = all(
-        fermion.average_absorbed_work_limit(uu, kk, GEOM)
-        == fermion.average_absorbed_work_limit(uu, 4 * uu - kk, GEOM)
+        fermion.filled_shell_limits(uu, kk, GEOM)[1]
+        == fermion.filled_shell_limits(uu, 4 * uu - kk, GEOM)[1]
         for uu in range(1, 11)
         for kk in range(1, 4 * uu)
     )
@@ -399,7 +390,7 @@ def test_criterion_11_large_spin_boson_limits():
     worst = 0.0
     for N in range(1, 7):
         coeffs = boson.work_coefficients(BosonFilling(N=N, s=500), GEOM)
-        lim = boson.large_spin_limits(N, GEOM)
+        lim = boson.work_coefficients(boson.LargeSpinBosons(N), GEOM)
         if N % 2 == 1:
             target_slope = N * math.log(2)
         else:

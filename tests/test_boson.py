@@ -3,9 +3,9 @@ import math
 import pytest
 
 from spinszilard import boson, information
-from spinszilard.boson import BosonFilling
+from spinszilard.boson import BosonFilling, LargeSpinBosons
 from spinszilard.core import BOLTZMANN, ThermalPoint, WellGeometry
-from spinszilard.equilibrium import boson_eq_ratio, level_splits
+from spinszilard.equilibrium import level_splits
 
 GEOM = WellGeometry(length=1e-9, mass=1e-26)
 E0 = GEOM.reference_energy
@@ -115,36 +115,47 @@ def test_total_work_matches_relative_entropy_form():
             assert direct == pytest.approx(closed, rel=1e-10, abs=1e-40)
 
 
+def large_spin_limits(N):
+    return boson.work_coefficients(LargeSpinBosons(N), GEOM)
+
+
 def test_large_spin_limits_small_n():
-    assert boson.large_spin_limits(0, GEOM).slope == 0.0
-    one = boson.large_spin_limits(1, GEOM)
+    assert large_spin_limits(0).slope == 0.0
+    one = large_spin_limits(1)
     assert one.slope == pytest.approx(math.log(2), rel=1e-14)
     assert one.absorbed == 0.0
-    two = boson.large_spin_limits(2, GEOM)
+    two = large_spin_limits(2)
     assert two.slope == pytest.approx(math.log(2), rel=1e-14)  # (1 - 1/2) * 2 ln 2
     assert two.absorbed == 0.0
-    three = boson.large_spin_limits(3, GEOM)
+    three = large_spin_limits(3)
     assert three.slope == pytest.approx(3 * math.log(2), rel=1e-14)
     assert three.absorbed == pytest.approx(7.778895291621716e-24, rel=1e-12)
     with pytest.raises(ValueError):
-        boson.large_spin_limits(-1, GEOM)
+        LargeSpinBosons(-1)
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 4, 11, 200, 1021, 1022, 1023, 1500])
+def test_large_spin_ways_are_one_comb_per_outcome(N):
+    """The row-stepped counts are C(N, m) exactly, past N = 1021 where 2^N leaves the floats."""
+    support = LargeSpinBosons(N).support
+    assert LargeSpinBosons(N).ways(support) == [math.comb(N, m) for m in support]
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 11, 200, 1023, 1500])
-def test_large_spin_limits_match_one_comb_per_outcome(N):
-    """The row-stepped counts carry the bits of one ``math.comb`` per outcome, past N = 1021 too."""
+def test_large_spin_absorbed_work_is_the_sequential_sum(N):
+    """W_0 is within 1e-15 of the sum of m C(N, m) / 2^(N-1) dE_m over the lighter half."""
     upper = (N - 1) // 2 if N % 2 else N // 2 - 1
     ms = range(1, upper + 1)
-    splits = level_splits(1, [boson_eq_ratio(m, N) for m in ms], GEOM).tolist()
+    splits = level_splits(1, BosonFilling(N=N, s=0).ratios(ms), GEOM).tolist()
     absorbed = 0.0
     for m, split in zip(ms, splits):
         absorbed += m * math.comb(N, m) / 2 ** (N - 1) * split
-    assert boson.large_spin_limits(N, GEOM).absorbed == absorbed
+    assert abs(large_spin_limits(N).absorbed - absorbed) <= 1e-15 * absorbed
 
 
 def test_coefficients_approach_large_spin_limits():
     for N in (3, 4, 5):
-        lim = boson.large_spin_limits(N, GEOM)
+        lim = large_spin_limits(N)
         dev_prev = None
         for s in (10, 100, 1000):
             coeffs = boson.work_coefficients(BosonFilling(N=N, s=s), GEOM)

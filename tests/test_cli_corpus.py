@@ -74,6 +74,13 @@ INVOCATIONS = [
     # an even N in CSV (edge walls at 0 and L, the central one at L/2), and an undefined T_c
     ("oracle --species boson --two-s 0 --n 6 --temp 0.05 --format csv", None),
     ("work --species boson --two-s 0 --n 0 --temp 0.1", None),
+    # every remainder k of a wider fermion spin, and boson limits past N = 1021
+    ("limits --species fermion --two-s 41", None),
+    ("limits --species boson --two-s 4 --n-range 1000:1003", None),
+    # filled shells (n > 0), wall loads near 10^27, and edge walls at g = 12
+    ("work --species fermion --two-s 5 --n-range 100:140 --temp 0.1", None),
+    ("work --species fermion --two-s 1 --n 1000000001 --temp 0.1", None),
+    ("oracle --species fermion --two-s 11 --n 6 --temp 0.02 --format csv", None),
 ]
 
 

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from spinszilard import fermion, information
-from spinszilard.core import BOLTZMANN, ThermalPoint, WellGeometry
+from spinszilard import fermion, information, phase
+from spinszilard.core import BOLTZMANN, SpinStatistics, ThermalPoint, WellGeometry
 from spinszilard.fermion import FermionFilling, decompose
 
 GEOM = WellGeometry(length=1e-9, mass=1e-26)
@@ -145,23 +145,31 @@ def test_average_absorbed_work():
 def test_average_limit_symmetry_and_zeroes():
     for u in (1, 3, 5):
         for k in range(1, 4 * u):
-            assert fermion.average_absorbed_work_limit(
-                u, k, GEOM
-            ) == fermion.average_absorbed_work_limit(u, (4 * u - k) % (4 * u), GEOM)
-    assert fermion.average_absorbed_work_limit(5, 0, GEOM) == 0.0
-    assert fermion.average_absorbed_work_limit(5, 1, GEOM) == 0.0
-    assert fermion.average_absorbed_work_limit(5, 2, GEOM) == 0.0
+            assert fermion.filled_shell_limits(u, k, GEOM)[1] == fermion.filled_shell_limits(
+                u, (4 * u - k) % (4 * u), GEOM
+            )[1]
+    assert fermion.filled_shell_limits(5, 0, GEOM)[1] == 0.0
+    assert fermion.filled_shell_limits(5, 1, GEOM)[1] == 0.0
+    assert fermion.filled_shell_limits(5, 2, GEOM)[1] == 0.0
 
 
 def test_average_limit_spot_value():
     # frozen from the closed form at u=5, k=3
-    assert fermion.average_absorbed_work_limit(5, 3, GEOM) == pytest.approx(
+    assert fermion.filled_shell_limits(5, 3, GEOM)[1] == pytest.approx(
         1.733084430746778e-25, rel=1e-12
     )
 
 
 def test_average_limit_domain():
     with pytest.raises(ValueError):
-        fermion.average_absorbed_work_limit(0, 1, GEOM)
+        fermion.filled_shell_limits(0, 1, GEOM)
     with pytest.raises(ValueError):
-        fermion.average_absorbed_work_limit(5, 20, GEOM)
+        fermion.filled_shell_limits(5, 20, GEOM)
+
+
+def test_filled_shell_slope_is_the_phase_curve_slope():
+    """D_F of each remainder k carries the bits of the chunked phase-curve pass."""
+    for u in (1, 2, 5, 21):
+        points = phase.phase_curve(SpinStatistics.fermion(2 * u - 1), GEOM, range(4 * u))
+        for point in points:
+            assert fermion.filled_shell_limits(u, point.N, GEOM)[0] == point.coefficients.slope

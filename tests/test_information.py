@@ -16,7 +16,7 @@ from spinszilard.core import (
     WellGeometry,
     level_energy,
 )
-from spinszilard.equilibrium import boson_eq_ratio, fermion_eq_ratio, wall_position
+from spinszilard.equilibrium import eq_ratio, wall_position
 from spinszilard.fermion import decompose
 
 GEOM = WellGeometry(length=1e-9, mass=1e-26)
@@ -232,15 +232,18 @@ def reference_rows(filling):
     if isinstance(filling, BosonFilling):
         s2, N = 2 * filling.s, filling.N
         return [
-            (binomial(m + s2, s2) * binomial(N - m + s2, s2), 1, boson_eq_ratio(m, N))
+            (binomial(m + s2, s2) * binomial(N - m + s2, s2), 1, eq_ratio(m, N - m))
             for m in filling.support
         ]
     u2 = 2 * filling.u
+    # the paper's printed r^3 = [u n (2n+1) + 3p(n+1)] / [u n (2n+1) + 3(k-p)(n+1)]
+    shells = filling.u * filling.n * (2 * filling.n + 1)
     rows = []
     for m in filling.support:
         p = m - u2 * filling.n
         ways = binomial(u2, p) * binomial(u2, filling.k - p)
-        rows.append((ways, filling.n + 1, fermion_eq_ratio(filling.u, filling.n, filling.k, p)))
+        ratio = eq_ratio(shells + 3 * p * (filling.n + 1), shells + 3 * (filling.k - p) * (filling.n + 1))
+        rows.append((ways, filling.n + 1, ratio))
     return rows
 
 
