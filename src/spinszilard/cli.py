@@ -2,7 +2,14 @@
 
 Subcommands: work, distribution, phase, efficiency, oracle, limits.
 Exit codes: 0 ok, 2 config error, 3 undefined quantity requested strictly,
-4 oracle non-convergence or tolerance failure.
+4 oracle non-convergence or tolerance failure. Every refusal but the oracle's
+non-convergence is a ``Refusal`` that carries its code.
+
+Each subcommand forms a CSV header and lines and, for a single result, a JSON
+document; one writer, ``_emit``, writes one or the other. A single result (work
+at one N and one T, efficiency at one N, distribution and oracle always) is
+JSON unless --format csv is given; several are CSV, and --format json for them
+exits 2.
 
 Floats are printed with 9 significant digits in scientific notation; rows
 are emitted in a fixed order so identical configurations produce
@@ -48,16 +55,12 @@ UNDEFINED = "undefined"
 MAX_RANGE_VALUES = 1_000_000
 
 
-class ConfigError(Exception):
-    pass
+class Refusal(Exception):
+    """A run refused with ``code``: 2 for a bad configuration unless told otherwise."""
 
-
-class StrictUndefinedError(Exception):
-    pass
-
-
-class ToleranceExceeded(Exception):
-    pass
+    def __init__(self, message: str, code: int = EXIT_CONFIG) -> None:
+        super().__init__(message)
+        self.code = code
 
 
 def _fmt(x: float) -> str:
@@ -73,22 +76,20 @@ def _exp_cell(log_value: float) -> float | str:
 
 
 def _json_dumps(obj: Any, indent: int = 0) -> str:
-    """Minimal JSON writer keeping floats at the 9-significant-digit contract."""
+    """Minimal JSON writer keeping floats at the 9-significant-digit contract.
+
+    It writes what the documents hold: non-empty dicts and lists, floats, ints,
+    None and strings.
+    """
     pad = "  " * indent
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         items = [
             f'{pad}  "{key}": {_json_dumps(value, indent + 1)}' for key, value in obj.items()
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
+    if isinstance(obj, list):
         items = [f"{pad}  {_json_dumps(value, indent + 1)}" for value in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
     if isinstance(obj, float):
         return _fmt(obj)
     if isinstance(obj, int):
@@ -112,16 +113,16 @@ def _parse_range(text: str, cast: Callable[[str], Any]) -> list:
     """
     parts = text.split(":")
     if len(parts) not in (2, 3):
-        raise ConfigError(f"bad range {text!r}, expected A:B or A:B:STEP")
+        raise Refusal(f"bad range {text!r}, expected A:B or A:B:STEP")
     try:
         lo, hi = cast(parts[0]), cast(parts[1])
         default = hi - lo if cast is float and hi > lo else 1
         step = cast(parts[2]) if len(parts) == 3 else default
     except ValueError as exc:
-        raise ConfigError(f"bad range {text!r}") from exc
+        raise Refusal(f"bad range {text!r}") from exc
     if not (0 <= lo <= hi < math.inf and step > 0):
-        raise ConfigError(f"range {text!r} needs finite bounds 0 <= A <= B and STEP > 0")
-    too_many = ConfigError(f"range {text!r} has more than {MAX_RANGE_VALUES} values")
+        raise Refusal(f"range {text!r} needs finite bounds 0 <= A <= B and STEP > 0")
+    too_many = Refusal(f"range {text!r} has more than {MAX_RANGE_VALUES} values")
     if (hi - lo) // step >= MAX_RANGE_VALUES:
         raise too_many
     if cast is int:
@@ -150,15 +151,15 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         with open(args.config, encoding="utf-8") as handle:
             lines = [line.split("#", 1)[0].strip() for line in handle]
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+        raise Refusal(f"cannot read config file {args.config}: {exc}") from exc
     keys = set(_COMMANDS[args.command][1]) - {"config", "strict"}
     file_values: dict[str, str] = {}
     for line in filter(None, lines):
         key, equals, value = line.partition("=")
         key = key.strip().replace("-", "_")
         if not equals or key not in keys:
-            raise ConfigError(f"bad config line {line!r}: expected KEY = VALUE, KEY one of "
-                              f"{sorted(keys)}")
+            raise Refusal(f"bad config line {line!r}: expected KEY = VALUE, KEY one of "
+                          f"{sorted(keys)}")
         file_values[key] = value.strip()
     given = {key.removesuffix("_range") for key in keys if getattr(args, key) is not None}
     for key, raw in file_values.items():
@@ -170,17 +171,17 @@ def _apply_config_file(args: argparse.Namespace) -> None:
             if value not in spec.get("choices", [value]):
                 raise ValueError(f"not one of {spec['choices']}")
         except ValueError as exc:
-            raise ConfigError(f"bad value for config key {key!r}: {raw!r}") from exc
+            raise Refusal(f"bad value for config key {key!r}: {raw!r}") from exc
         setattr(args, key, value)
 
 
 def _spin(species: str | None, two_s: str | None) -> SpinStatistics:
     if species is None or two_s is None:
-        raise ConfigError("--species and --two-s are required")
+        raise Refusal("--species and --two-s are required")
     try:
         return SpinStatistics(twice_spin=int(two_s), kind=ParticleKind(species))
     except ValueError as exc:
-        raise ConfigError(f"bad --two-s value {two_s!r} for {species}: {exc}") from exc
+        raise Refusal(f"bad --two-s value {two_s!r} for {species}: {exc}") from exc
 
 
 def _geometry(args: argparse.Namespace) -> WellGeometry:
@@ -192,22 +193,22 @@ def _geometry(args: argparse.Namespace) -> WellGeometry:
         if not sys.float_info.min <= geometry.reference_energy < math.inf:
             raise ValueError("E0 is not a normal float")
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad well geometry --length {length} --mass {mass}: {exc}") from exc
+        raise Refusal(f"bad well geometry --length {length} --mass {mass}: {exc}") from exc
     return geometry
 
 
-def _required(args: argparse.Namespace, *dests: str) -> ConfigError:
+def _required(args: argparse.Namespace, *dests: str) -> Refusal:
     """The error for a missing value: one of ``dests``, as far as the subcommand has them."""
     flags = ["--" + dest.replace("_", "-") for dest in dests if dest in _COMMANDS[args.command][1]]
-    return ConfigError(("one of " if len(flags) > 1 else "") + " or ".join(flags) + " is required")
+    return Refusal(("one of " if len(flags) > 1 else "") + " or ".join(flags) + " is required")
 
 
 def _n_values(args: argparse.Namespace) -> list[int]:
     if args.n is not None and args.n_range is not None:
-        raise ConfigError("give either --n or --n-range, not both")
+        raise Refusal("give either --n or --n-range, not both")
     if args.n is not None:
         if args.n < 0:
-            raise ConfigError("--n must be >= 0")
+            raise Refusal("--n must be >= 0")
         return [args.n]
     if args.n_range is not None:
         return _parse_range(args.n_range, int)
@@ -216,7 +217,7 @@ def _n_values(args: argparse.Namespace) -> list[int]:
 
 def _t_values(args: argparse.Namespace) -> list[float]:
     if args.temp is not None and args.temp_range is not None:
-        raise ConfigError("give either --temp or --temp-range, not both")
+        raise Refusal("give either --temp or --temp-range, not both")
     if args.temp is not None:
         values = [args.temp]
     elif args.temp_range is not None:
@@ -225,14 +226,14 @@ def _t_values(args: argparse.Namespace) -> list[float]:
         raise _required(args, "temp", "temp_range")
     # below about 1.8e-301 K, k_B T underflows to exactly 0
     if any(t < 0 or (t > 0 and BOLTZMANN * t < sys.float_info.min) for t in values):
-        raise ConfigError("temperatures must be >= 0, and k_B T a normal float if nonzero")
+        raise Refusal("temperatures must be >= 0, and k_B T a normal float if nonzero")
     return values
 
 
 def _thermal(args: argparse.Namespace) -> ThermalPoint:
     (temperature,) = _t_values(args)
     if temperature <= 0:
-        raise ConfigError(f"{args.command} requires --temp > 0")
+        raise Refusal(f"{args.command} requires --temp > 0")
     return ThermalPoint(temperature)
 
 
@@ -246,18 +247,13 @@ def _output(out: str | None) -> Iterator[TextIO]:
         except OSError as exc:
             # say, a reader that went away; devnull takes the descriptor so the flush at exit passes
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            raise ConfigError(f"cannot write standard output: {exc}") from exc
+            raise Refusal(f"cannot write standard output: {exc}") from exc
         return
     try:
         with open(out, "w", encoding="utf-8", newline="") as handle:
             yield handle
     except OSError as exc:
-        raise ConfigError(f"cannot write {out}: {exc}") from exc
-
-
-def _emit(text: str, out: str | None) -> None:
-    with _output(out) as handle:
-        handle.write(text)
+        raise Refusal(f"cannot write {out}: {exc}") from exc
 
 
 def _cell(value: Any) -> str:
@@ -271,37 +267,34 @@ def _line(cells: Iterable[Any]) -> str:
     return ",".join(map(_cell, cells))
 
 
-def _write_csv(out: str | None, header: Iterable[str], lines: Iterable[str]) -> None:
-    """CSV to standard output or ``out``, one write per finished row, as it is formed.
+def _emit(args: argparse.Namespace, header: Iterable[str], lines: Iterable[str],
+          document: dict[str, Any] | None = None, out: str | None = None) -> bool:
+    """Write ``document`` as JSON, or ``header`` and ``lines`` as CSV; whether it was CSV.
 
-    Each of ``lines`` is a row without its newline. No cell needs quoting (see the
-    module docstring). The caller raises its errors first, so a refused run writes nothing.
+    A document is a single result: JSON is the default exactly when one is given,
+    and --format json without one exits 2. Each of ``lines`` is a CSV row without
+    its newline, written as it is formed; no cell needs quoting (see the module
+    docstring). ``out`` defaults to --out. The caller raises its errors first, so
+    a refused run writes nothing.
     """
-    with _output(out) as handle:
+    as_csv = (args.format or ("csv" if document is None else "json")) == "csv"
+    if not as_csv and document is None:
+        raise Refusal("json format is for single results; ranges emit csv")
+    with _output(out or args.out) as handle:
         write = handle.write
+        if not as_csv:
+            write(_json_dumps(document) + "\n")
+            return False
         write(",".join(header) + "\n")
         for line in lines:
             write(line + "\n")
+    return True
 
 
-def _emit_rows(args: argparse.Namespace, rows: Iterable[dict[str, Any]], count: int) -> None:
-    """JSON for a single row, or CSV for several; the caller settles --strict first."""
-    rows = iter(rows)
-    if _csv_format(args, count):
-        first = next(rows)
-        lines = (_line(row.values()) for row in itertools.chain([first], rows))
-        _write_csv(args.out, first.keys(), lines)
-    else:
-        _emit(_json_dumps(next(rows)) + "\n", args.out)
-
-
-def _csv_format(args: argparse.Namespace, count: int) -> bool:
-    """Whether ``count`` rows go out as CSV (the default for several) or as JSON (one only)."""
-    if (args.format or ("json" if count == 1 else "csv")) == "csv":
-        return True
-    if count != 1:
-        raise ConfigError("json format is for single results; ranges emit csv")
-    return False
+def _strict(args: argparse.Namespace, undefined: Iterable[bool]) -> None:
+    """Exit 3 under --strict if any of ``undefined`` holds; it is read only then."""
+    if args.strict and any(undefined):
+        raise Refusal("undefined quantity requested in strict mode", EXIT_UNDEFINED)
 
 
 #: the columns of ``work``: the cells of N alone, then those of each temperature
@@ -321,11 +314,10 @@ def cmd_work(args: argparse.Namespace) -> int:
     points = phase.phase_curve(spin, geometry, n_values)
     t_arr = np.array(t_values)
     # the undefined cells: Wtot_per_kBT at T = 0 and Tc_kelvin where a point has no T_c
-    undefined = min(t_values) <= 0 or any(
-        point.coefficients.critical_temperature is None for point in points
-    )
-    if args.strict and undefined:
-        raise StrictUndefinedError()
+    _strict(args, itertools.chain(
+        (T <= 0 for T in t_values),
+        (point.coefficients.critical_temperature is None for point in points),
+    ))
 
     def head(point: phase.PhasePoint) -> list[Any]:
         """The cells that depend on N alone, formatted once for all its temperatures."""
@@ -346,19 +338,18 @@ def cmd_work(args: argparse.Namespace) -> int:
             per_kbt = f"{w / (BOLTZMANN * T):.8e}" if T > 0 else UNDEFINED
             yield f"{T:.8e}", f"{w:.8e}", per_kbt, tc
 
-    if not _csv_format(args, len(points) * len(t_values)):
-        (point,) = points
-        (tail,) = tails(point)
-        _emit(_json_dumps(dict(zip(_WORK_COLUMNS, head(point) + list(tail)))) + "\n", args.out)
-        return EXIT_OK
-
     def lines() -> Iterator[str]:
         for point in points:
             lead = _line(head(point))
             for T, w, per_kbt, tc in tails(point):
                 yield f"{lead},{T},{w},{per_kbt},{tc}"
 
-    _write_csv(args.out, _WORK_COLUMNS, lines())
+    document = None
+    if len(points) * len(t_values) == 1:
+        (point,) = points
+        (tail,) = tails(point)
+        document = dict(zip(_WORK_COLUMNS, head(point) + list(tail)))
+    _emit(args, _WORK_COLUMNS, lines(), document)
     return EXIT_OK
 
 
@@ -370,30 +361,22 @@ def cmd_distribution(args: argparse.Namespace) -> int:
     table = information.outcome_table(phase.filling(spin, N), geometry)
     dist = table.distribution
     m_values = [int(m) for m in dist.support]
-    f_values = [float(p) for p in dist.probabilities]
-    stars = None
+    document: dict[str, Any] = {
+        "species": spin.kind.value,
+        "two_s": spin.twice_spin,
+        "N": N,
+        "m": m_values,
+        "f_m": [float(p) for p in dist.probabilities],
+        "f_m_sum": dist.total(),
+    }
+    # the CSV columns are the document's lists of the same names
+    columns = ["m", "f_m"]
     if thermal is not None:
         stars = [_exp_cell(x) for x in table.log_fstar(thermal)]
-        if args.strict and UNDEFINED in stars:
-            raise StrictUndefinedError()
-    fmt = args.format or "json"
-    if fmt == "json":
-        payload: dict[str, Any] = {
-            "species": spin.kind.value,
-            "two_s": spin.twice_spin,
-            "N": N,
-            "m": m_values,
-            "f_m": f_values,
-            "f_m_sum": dist.total(),
-        }
-        if stars is not None:
-            payload["f_m_star"] = stars
-            payload["T_kelvin"] = thermal.temperature
-        _emit(_json_dumps(payload) + "\n", args.out)
-    else:
-        header = ["m", "f_m"] + (["f_m_star"] if stars is not None else [])
-        columns = [m_values, f_values] + ([stars] if stars is not None else [])
-        _write_csv(args.out, header, map(_line, zip(*columns)))
+        _strict(args, (cell == UNDEFINED for cell in stars))
+        document |= {"f_m_star": stars, "T_kelvin": thermal.temperature}
+        columns.append("f_m_star")
+    _emit(args, columns, map(_line, zip(*(document[column] for column in columns))), document)
     print(f"sum f_m = {_fmt(dist.total())}", file=sys.stderr)
     return EXIT_OK
 
@@ -403,17 +386,16 @@ def cmd_phase(args: argparse.Namespace) -> int:
     tokens = [None] if args.two_s is None else args.two_s.split(",")
     spins = [_spin(args.species, token) for token in tokens]
     if args.n_range is None:
-        raise ConfigError("phase requires --n-range")
+        raise Refusal("phase requires --n-range")
     n_values = _parse_range(args.n_range, int)
     t_values = [] if args.temp_range is None else _t_values(args)
     if t_values and not args.out:
-        raise ConfigError("the work grid needs --out (written to OUT.grid.csv)")
+        raise Refusal("the work grid needs --out (written to OUT.grid.csv)")
     lead = ["two_s"] if len(spins) > 1 else []
     # one curve per spin serves both the T_c table and the work grid
     curves = [(spin, phase.phase_curve(spin, geometry, n_values)) for spin in spins]
-    if args.strict and any(point.coefficients.critical_temperature is None
-                           for _, points in curves for point in points):
-        raise StrictUndefinedError()
+    _strict(args, (point.coefficients.critical_temperature is None
+                   for _, points in curves for point in points))
     lines = (
         _line([spin.twice_spin] * len(lead)
               + [point.N, UNDEFINED if tc is None else tc, str(tc is not None).lower()])
@@ -421,7 +403,7 @@ def cmd_phase(args: argparse.Namespace) -> int:
         for point in points
         for tc in [point.coefficients.critical_temperature]
     )
-    _write_csv(args.out, lead + ["N", "T_c_kelvin", "defined"], lines)
+    _emit(args, lead + ["N", "T_c_kelvin", "defined"], lines)
     if t_values:
         t_arr = np.array(t_values)
 
@@ -434,8 +416,16 @@ def cmd_phase(args: argparse.Namespace) -> int:
                     for T, w in zip(t_values, point.work(t_arr).tolist()):
                         yield f"{head}{T:.8e},{w:.8e},{(w > 0) - (w < 0)}"
 
-        _write_csv(args.out + ".grid.csv", lead + ["N", "T", "W_tot_joule", "sign"], grid_lines())
+        grid_header = lead + ["N", "T", "W_tot_joule", "sign"]
+        _emit(args, grid_header, grid_lines(), out=args.out + ".grid.csv")
     return EXIT_OK
+
+
+#: the columns of ``efficiency``, one row per N
+_EFFICIENCY_COLUMNS = (
+    "species", "two_s", "N", "T_kelvin", "Wtot_joule", "Weras_joule", "Wnet_joule",
+    "eta", "eta_second_highest",
+)
 
 
 def cmd_efficiency(args: argparse.Namespace) -> int:
@@ -444,31 +434,29 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
     n_values = _n_values(args)
     thermal = _thermal(args)
     # eta is undefined where W_eras = k_B T H(f) = 0, that is where the filling has one outcome
-    if args.strict and any(len(phase.filling(spin, N).support) == 1 for N in n_values):
-        raise StrictUndefinedError()
+    _strict(args, (len(phase.filling(spin, N).support) == 1 for N in n_values))
 
-    def rows() -> Iterator[dict[str, Any]]:
-        for N in n_values:
-            table = information.outcome_table(phase.filling(spin, N), geometry)
-            # the runner-up engines have three outcomes: alpha = 1 - f_central = 2 f_edge
-            second = len(table.f) == 3
-            alpha = 2.0 * float(table.f[0])
-            w_tot = table.work_coefficients().total_work(thermal)
-            w_eras = information.erasure_work(table.distribution, thermal)
-            w_net = table.net_work(thermal)
-            yield {
-                "species": spin.kind.value,
-                "two_s": spin.twice_spin,
-                "N": N,
-                "T_kelvin": _fmt(thermal.temperature),
-                "Wtot_joule": _fmt(w_tot),
-                "Weras_joule": _fmt(w_eras),
-                "Wnet_joule": _fmt(w_net),
-                "eta": UNDEFINED if w_eras == 0.0 else _fmt(w_tot / w_eras),
-                "eta_second_highest": _fmt(information.second_highest_efficiency(alpha)) if second else "",
-            }
+    def cells(N: int) -> list[Any]:
+        """The cells of N's row, in ``_EFFICIENCY_COLUMNS`` order."""
+        table = information.outcome_table(phase.filling(spin, N), geometry)
+        # the runner-up engines have three outcomes: alpha = 1 - f_central = 2 f_edge
+        second = len(table.f) == 3
+        alpha = 2.0 * float(table.f[0])
+        w_tot = table.work_coefficients().total_work(thermal)
+        w_eras = information.erasure_work(table.distribution, thermal)
+        return [
+            spin.kind.value, spin.twice_spin, N, _fmt(thermal.temperature),
+            _fmt(w_tot), _fmt(w_eras), _fmt(table.net_work(thermal)),
+            UNDEFINED if w_eras == 0.0 else _fmt(w_tot / w_eras),
+            _fmt(information.second_highest_efficiency(alpha)) if second else "",
+        ]
 
-    _emit_rows(args, rows(), len(n_values))
+    rows = map(cells, n_values)
+    document = None
+    if len(n_values) == 1:
+        rows = [*rows]
+        document = dict(zip(_EFFICIENCY_COLUMNS, rows[0]))
+    _emit(args, _EFFICIENCY_COLUMNS, map(_line, rows), document)
     return EXIT_OK
 
 
@@ -478,13 +466,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     (N,) = _n_values(args)
     # an empty well (N = 0) has no wall equilibrium to compare
     if not 1 <= N <= 6:
-        raise ConfigError("oracle is restricted to 1 <= N <= 6")
+        raise Refusal("oracle is restricted to 1 <= N <= 6")
     if spin.degeneracy > 12:
-        raise ConfigError("oracle is restricted to degeneracy 2s+1 <= 12")
+        raise Refusal("oracle is restricted to degeneracy 2s+1 <= 12")
     thermal = _thermal(args)
     tolerance = args.tolerance if args.tolerance is not None else 1e-3
     if tolerance < 0:
-        raise ConfigError("--tolerance must be >= 0")
+        raise Refusal("--tolerance must be >= 0")
     L = geometry.length
 
     cycle = oracle.ensemble_cycle(N, spin, geometry, thermal)
@@ -494,34 +482,31 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     analytic_work = table.work_coefficients().total_work(thermal)
 
     rows = []
-    max_df = 0.0
-    max_dl = 0.0
     for m in range(N + 1):
         f_exact = float(cycle.distribution.probabilities[m])
         f_analytic = 0.0
-        leq_exact = cycle.equilibria[m] / L
         leq_analytic: float | None = None
         if m in filling.support:
             row = m - filling.support[0]
             f_analytic = float(table.f[row])
             leq_analytic = wall_position(ratios[row], geometry) / L
-        delta_f = abs(f_exact - f_analytic)
-        max_df = max(max_df, delta_f)
-        delta_l = abs(leq_exact - leq_analytic) if leq_analytic is not None else 0.0
-        max_dl = max(max_dl, delta_l)
         rows.append(
             {
                 "m": m,
                 "f_exact": f_exact,
                 "f_analytic": f_analytic,
-                "delta_f": delta_f,
-                "leq_exact_over_L": leq_exact,
+                "delta_f": abs(f_exact - f_analytic),
+                "leq_exact_over_L": cycle.equilibria[m] / L,
                 "leq_analytic_over_L": leq_analytic,
             }
         )
+    max_df = max(0.0, *(row["delta_f"] for row in rows))
+    # rows outside the closed forms' support have no analytic wall to compare
+    max_dl = max(0.0, *(abs(row["leq_exact_over_L"] - row["leq_analytic_over_L"])
+                        for row in rows if row["leq_analytic_over_L"] is not None))
     scale = max(abs(analytic_work), BOLTZMANN * thermal.temperature * 1e-20)
     rel_dw = abs(cycle.total_work - analytic_work) / scale
-    payload = {
+    document = {
         "species": spin.kind.value,
         "two_s": spin.twice_spin,
         "N": N,
@@ -536,20 +521,17 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "max_delta_f": max_df,
         "max_delta_leq_over_L": max_dl,
     }
-    fmt = args.format or "json"
-    if fmt == "json":
-        _emit(_json_dumps(payload) + "\n", args.out)
-    else:
-        _write_csv(args.out, rows[0].keys(), (_line(row.values()) for row in rows))
+    if _emit(args, rows[0].keys(), (_line(row.values()) for row in rows), document):
         print(
             f"W_exact = {_fmt(cycle.total_work)}  W_analytic = {_fmt(analytic_work)}  "
             f"rel_delta = {_fmt(rel_dw)}",
             file=sys.stderr,
         )
     if max_df > tolerance or max_dl > tolerance or rel_dw > tolerance:
-        raise ToleranceExceeded(
+        raise Refusal(
             f"oracle deltas exceed tolerance {tolerance}: "
-            f"max|df|={max_df:.3e}, max|dl|/L={max_dl:.3e}, |dW|rel={rel_dw:.3e}"
+            f"max|df|={max_df:.3e}, max|dl|/L={max_dl:.3e}, |dW|rel={rel_dw:.3e}",
+            EXIT_ORACLE,
         )
     return EXIT_OK
 
@@ -560,7 +542,7 @@ def cmd_limits(args: argparse.Namespace) -> int:
     e0 = geometry.reference_energy
     if spin.kind is ParticleKind.FERMION:
         if args.n is not None or args.n_range is not None:
-            raise ConfigError("fermion limits index k in [0, 4u); --n and --n-range are for bosons")
+            raise Refusal("fermion limits index k in [0, 4u); --n and --n-range are for bosons")
         header = ["k", "D_F", "avg_W0F_limit_joule", "avg_W0F_limit_per_E0"]
         # (k, D_F, the k-averaged W_0F limit) of each row, from one outcome table per k
         limits = ((k, *fermion.filled_shell_limits(spin.u, k, geometry)) for k in range(4 * spin.u))
@@ -571,7 +553,7 @@ def cmd_limits(args: argparse.Namespace) -> int:
             map(boson.LargeSpinBosons, n_values), geometry
         )
         limits = ((N, lim.slope, lim.absorbed) for N, lim in zip(n_values, coefficients))
-    _write_csv(args.out, header, (_line([i, slope, w0, w0 / e0]) for i, slope, w0 in limits))
+    _emit(args, header, (_line([i, slope, w0, w0 / e0]) for i, slope, w0 in limits))
     return EXIT_OK
 
 
@@ -630,13 +612,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _apply_config_file(args)
         return args.handler(args)
-    except ConfigError as exc:
+    except Refusal as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except StrictUndefinedError:
-        print("error: undefined quantity requested in strict mode", file=sys.stderr)
-        return EXIT_UNDEFINED
-    except (ToleranceExceeded, oracle.ConvergenceError) as exc:
+        return exc.code
+    except oracle.ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ORACLE
 

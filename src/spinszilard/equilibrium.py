@@ -32,8 +32,11 @@ def eq_ratio(left: int, right: int) -> float:
 
     Returns inf when only the left half is loaded, 1.0 when neither is. The
     loads are divided as integers, which Python rounds correctly, so any two
-    load pairs of the same ratio give the same bits.
+    load pairs of the same ratio give the same bits. A negative load, which an
+    outcome m outside a filling's support forms, raises ValueError.
     """
+    if left < 0 or right < 0:
+        raise ValueError(f"loads must be >= 0, got {left} and {right}")
     if right == 0:
         return math.inf if left else 1.0
     return (left / right) ** (1.0 / 3.0)

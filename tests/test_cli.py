@@ -194,23 +194,28 @@ def test_bad_range_syntax(capsys):
     assert code == 2
 
 
-def test_json_format_rejected_for_ranges(capsys):
-    code = run(
-        [
-            "work",
-            "--species",
-            "fermion",
-            "--two-s",
-            "1",
-            "--n-range",
-            "1:3",
-            "--temp",
-            "0.1",
-            "--format",
-            "json",
-        ]
-    )
-    assert code == 2
+@pytest.mark.parametrize("command", ["work", "efficiency"])
+def test_json_format_rejected_for_ranges(command, capsys):
+    argv = f"{command} --species fermion --two-s 1 --n-range 1:3 --temp 0.1 --format json"
+    assert run(shlex.split(argv)) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "work --species fermion --two-s 9 --n 3 --temp 0.1",
+        "work --species boson --two-s 0 --n 0 --temp 0.1",
+        *(f"efficiency --species fermion --two-s 9 --n {N} --temp 0.1" for N in (0, 1, 2)),
+    ],
+)
+def test_single_result_csv_is_its_json_document(argv, capsys):
+    """A single result's CSV has its JSON document's keys as header and their values as row."""
+    assert run(shlex.split(argv)) == 0
+    document = json.loads(capsys.readouterr().out)
+    assert run(shlex.split(argv + " --format csv")) == 0
+    header, row = ",".join(document), ",".join(map(str, document.values()))
+    assert capsys.readouterr().out == f"{header}\n{row}\n"
 
 
 def test_bad_species_pairing(capsys):

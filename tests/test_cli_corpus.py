@@ -4,7 +4,8 @@
 sha256 of stdout, stderr and every file the run writes (``--out`` and
 ``--out.grid.csv``). A change that moves any output byte fails here, and the
 entries it changes name what moved. Regenerate the pins after an intended
-output change with ``PYTHONPATH=src python tests/test_cli_corpus.py``.
+output change with ``PYTHONPATH=src python tests/test_cli_corpus.py``; it
+prints the argv of every entry it adds, changes or drops.
 """
 from __future__ import annotations
 
@@ -81,6 +82,14 @@ INVOCATIONS = [
     ("work --species fermion --two-s 5 --n-range 100:140 --temp 0.1", None),
     ("work --species fermion --two-s 1 --n 1000000001 --temp 0.1", None),
     ("oracle --species fermion --two-s 11 --n 6 --temp 0.02 --format csv", None),
+    # one result in CSV, several refused as JSON, a strict JSON refusal, and the
+    # oracle's tolerance refusal after its table (with the summary) or its JSON
+    ("work --species fermion --two-s 9 --n 3 --temp 0.1 --format csv", None),
+    ("efficiency --species boson --two-s 2 --n 2 --temp 0.1 --format csv", None),
+    ("efficiency --species fermion --two-s 1 --n-range 1:3 --temp 0.1 --format json", None),
+    ("distribution --species fermion --two-s 2001 --n 2001 --temp 0.1 --strict", None),
+    ("oracle --species fermion --two-s 9 --n 3 --temp 0.3 --tolerance 1e-12 --format csv", None),
+    ("oracle --species fermion --two-s 9 --n 3 --temp 0.3 --tolerance 1e-12", None),
 ]
 
 
@@ -166,6 +175,15 @@ def test_csv_outputs_are_the_csv_dialect():
 
 
 if __name__ == "__main__":
+    pinned = _pinned() if CORPUS.exists() else {}
     entries = [run_invocation(argv, config) for argv, config in INVOCATIONS]
+    # name every pin the regeneration adds, changes or drops
+    for entry in entries:
+        if entry["argv"] not in pinned:
+            print(f"added:   {entry['argv']}", file=sys.stderr)
+        elif entry != pinned[entry["argv"]]:
+            print(f"changed: {entry['argv']}", file=sys.stderr)
+    for argv in sorted(pinned.keys() - {entry["argv"] for entry in entries}):
+        print(f"dropped: {argv}", file=sys.stderr)
     CORPUS.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(entries)} entries to {CORPUS}", file=sys.stderr)

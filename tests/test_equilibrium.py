@@ -84,6 +84,23 @@ def test_boson_ratio():
         assert eq_ratio(m, 7 - m) * eq_ratio(7 - m, m) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "ratios",
+    [
+        lambda: eq_ratio(-1, 2),
+        lambda: eq_ratio(2, -1),
+        # outcomes m outside the support 0..3 leave a negative load on one side
+        lambda: decompose(3, 5).ratios(range(-1, 5)),
+        lambda: decompose(3, 5).ratios([4]),
+        lambda: BosonFilling(3, 0).ratios(range(3, 6)),
+    ],
+)
+def test_negative_load_is_refused(ratios):
+    """A negative load would give a complex cube root; it raises instead."""
+    with pytest.raises(ValueError, match="loads must be >= 0"):
+        ratios()
+
+
 def test_filling_ratios_are_the_printed_forms():
     """Both fillings' walls carry the bits of the paper's printed ratio forms.
 
