@@ -470,6 +470,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if spin.degeneracy > 12:
         raise Refusal("oracle is restricted to degeneracy 2s+1 <= 12")
     thermal = _thermal(args)
+    if math.isinf(thermal.beta * N):
+        raise Refusal("oracle requires N / (k_B T) to be a finite float; --temp is too low")
     tolerance = args.tolerance if args.tolerance is not None else 1e-3
     if tolerance < 0:
         raise Refusal("--tolerance must be >= 0")

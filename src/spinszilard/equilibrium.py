@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import HBAR, WellGeometry, level_energy
+from .core import WellGeometry, level_energy
 
 
 class WallAtBoundaryError(ValueError):
@@ -71,13 +71,3 @@ def level_splits(
     # one level_energy call on both widths, row 0 left of the wall and row 1 right
     energies = level_energy(level, np.array([left, geometry.length - left]), geometry)
     return np.abs(energies[0] - energies[1])
-
-
-def level_split_large_n(u: int, n: int, k: int, p: int, geometry: WellGeometry) -> float:
-    """Large-n asymptotic splitting (4 pi^2 hbar^2 / M L^2) (n+1) |k/2u - p/u|."""
-    if n < 1:
-        raise ValueError(f"large-n form requires n >= 1, got {n}")
-    if p < 0 or p > k:
-        raise ValueError(f"require 0 <= p <= k, got p={p}, k={k}")
-    scale = 4.0 * math.pi**2 * HBAR**2 / (geometry.mass * geometry.length**2)
-    return scale * (n + 1) * abs(k / (2.0 * u) - p / u)

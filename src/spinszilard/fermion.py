@@ -76,13 +76,6 @@ def decompose(N: int, u: int) -> FermionFilling:
     return FermionFilling(N=N, u=u, n=n, k=k)
 
 
-def average_absorbed_work(filling: FermionFilling, geometry: WellGeometry) -> float:
-    """Absorbed work per particle, W_0F / N."""
-    if filling.N < 1:
-        raise ValueError("average absorbed work requires N >= 1")
-    return work_coefficients(filling, geometry).absorbed / filling.N
-
-
 def filled_shell_limits(u: int, k: int, geometry: WellGeometry) -> tuple[float, float]:
     """D_F at remainder k and the filled-shell limit of W_0F / N, from one outcome table.
 

@@ -1,14 +1,13 @@
 """Brute-force finite-temperature canonical ensemble for small particle numbers.
 
 Independent of every closed form in this package: partition functions are
-built by dynamic programming over well levels with degenerate occupancies.
-Each box's DP runs until a level changes nothing, and its one pass gives ln Z,
-<E> and Var E for every particle count. An equilibrium wall is where ln Z_m
-stops changing with the wall position: a safeguarded Newton search on that
-slope, whose slope and curvature come from the box moments, starting from the
-oracle's own ground-state pressure balance. Only the lighter half of the
-outcomes is searched: m on the left is N - m on the right, so their walls and
-f* mirror each other. Used to validate the low-temperature analytics.
+built by dynamic programming over well levels with degenerate occupancies, one
+array step per level until a level changes nothing; one pass gives ln Z for
+every particle count, and the wall search's passes carry <E> and Var E. An
+equilibrium wall is where ln Z_m stops changing with the wall position: a
+safeguarded Newton search on that slope, from the oracle's own ground-state
+pressure balance. Only the lighter half of the outcomes is searched: m on the
+left is N - m on the right, so their walls and f* mirror each other.
 """
 from __future__ import annotations
 
@@ -64,58 +63,71 @@ class BoxEnsemble:
     energy_variance: np.ndarray
 
 
-def box_ensemble(count: int, spectrum: BoxSpectrum, thermal: ThermalPoint) -> BoxEnsemble:
-    """ln Z, <E> and Var E for 0..count identical particles in one box.
+def _level_steps(count: int, spectrum: BoxSpectrum, thermal: ThermalPoint):
+    """Yield (occupancy column, below, E, candidates, ln Z') for each level of one box.
 
-    Log-domain DP over levels; per-level occupancy a carries weight C(g,a)
-    (fermions) or C(g+a-1,a) (bosons) and Boltzmann factor exp(-beta a E).
-    Occupancy a of a new level puts the c - a particles below it at a*E more
-    energy, with probability exp(candidate - ln Z'), so the new <E> is the
-    weighted mean of those shifted means and the new Var E the weighted
-    variances plus the spread of the means. Returns after the first level that
-    changes no ln Z: levels rise in energy, so every later level adds less and
-    changes nothing either. Raises ConvergenceError, with the largest change of
-    the last level, if MAX_LEVEL_CUTOFF levels pass first.
+    Occupancy a of a level carries weight w_a = C(g,a) (fermions) or C(g+a-1,a)
+    (bosons) and Boltzmann factor exp(-beta a E). One array step per level:
+    candidates[a, c] = ln Z(below[a, c]) + ln w_a - (beta a) E, -inf where a > c,
+    below[a, c] = c - a clipped at 0, and ln Z' is their logaddexp over a. Stops
+    after the first level that changes no ln Z: levels rise in energy, so no
+    later one could. Raises ValueError where beta times the largest occupancy
+    overflows, and ConvergenceError, with the largest change of the last level,
+    if MAX_LEVEL_CUTOFF levels pass first.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    beta = thermal.beta
     g = spectrum.degeneracy
-    if spectrum.kind is ParticleKind.FERMION:
-        occ_max = min(g, count)
-        occ_log_weight = [math.log(binomial(g, a)) for a in range(occ_max + 1)]
-    else:
-        occ_max = count
-        occ_log_weight = [math.log(bose_state_count(g, a)) for a in range(occ_max + 1)]
+    fermion = spectrum.kind is ParticleKind.FERMION
+    occ_max = min(g, count) if fermion else count
+    ways = binomial if fermion else bose_state_count
+    beta = thermal.beta
+    if math.isinf(beta * occ_max):
+        raise ValueError(f"beta * {occ_max} overflows at T = {thermal.temperature!r} K")
+    occupancy = np.arange(occ_max + 1)[:, None]
+    beta_occupancy = beta * occupancy
+    log_weight = np.array([math.log(ways(g, a)) for a in range(occ_max + 1)])[:, None]
+    below = np.arange(count + 1) - occupancy
+    held = below >= 0
+    below = np.maximum(below, 0)
     log_z = np.full(count + 1, -np.inf)
     log_z[0] = 0.0
-    mean = np.zeros(count + 1)
-    var = np.zeros(count + 1)
-    occupancy = np.arange(occ_max + 1)[:, None]
-    # [a, c]: the c - a particles below a level holding a; clipped where a > c,
-    # whose candidate is -inf and so weighs nothing
-    below = np.maximum(np.arange(count + 1) - occupancy, 0)
     for level in range(1, MAX_LEVEL_CUTOFF + 1):
         energy = level_energy(level, spectrum.width, spectrum.geometry)
-        candidates = np.full((occ_max + 1, count + 1), -np.inf)
-        for a in range(occ_max + 1):
-            candidates[a, a:] = log_z[: count + 1 - a] + occ_log_weight[a] - beta * a * energy
+        candidates = np.where(held, log_z[below] + log_weight - beta_occupancy * energy, -np.inf)
         updated = np.logaddexp.reduce(candidates, axis=0)
-        # a count no level has reached yet has only -inf candidates: all weights 0
-        weight = np.exp(candidates - np.where(updated > -np.inf, updated, 0.0))
-        shifted = mean[below] + occupancy * energy
-        mean = (weight * shifted).sum(axis=0)
-        var = (weight * (var[below] + (shifted - mean) ** 2)).sum(axis=0)
-        if np.array_equal(updated, log_z) and log_z[count] > -np.inf:
-            return BoxEnsemble(log_z=updated, mean_energy=mean, energy_variance=var)
+        yield occupancy, below, energy, candidates, updated
+        if (updated == log_z).all() and log_z[count] > -np.inf:
+            return
         previous, log_z = log_z, updated
     delta = float(np.max(log_z - previous))  # a level only adds to each Z
     raise ConvergenceError(f"ln Z not stable at level cutoff {MAX_LEVEL_CUTOFF}", delta)
 
 
 def box_partition(count: int, spectrum: BoxSpectrum, thermal: ThermalPoint) -> np.ndarray:
-    """ln Z for 0..count identical particles in one box (the DP's ln Z vector)."""
-    return box_ensemble(count, spectrum, thermal).log_z
+    """ln Z for 0..count identical particles in one box: the DP's levels, no moments."""
+    for *_, log_z in _level_steps(count, spectrum, thermal):
+        pass
+    return log_z
+
+
+def box_ensemble(count: int, spectrum: BoxSpectrum, thermal: ThermalPoint) -> BoxEnsemble:
+    """ln Z, <E> and Var E for 0..count identical particles in one box.
+
+    ``box_partition``'s levels and ln Z, with the moments carried along: occupancy
+    a of a new level puts the c - a particles below it at a*E more energy, with
+    probability exp(candidate - ln Z'), so the new <E> is the weighted mean of
+    those shifted means and the new Var E the weighted variances plus the
+    spread of the means.
+    """
+    mean = var = np.zeros(count + 1)  # rebound each level, never written in place
+    for occupancy, below, energy, candidates, log_z in _level_steps(count, spectrum, thermal):
+        # a count no level has reached yet has only -inf candidates: all weights 0
+        weight = np.exp(candidates - np.where(log_z > -np.inf, log_z, 0.0))
+        shifted = mean[below] + occupancy * energy
+        mean = (weight * shifted).sum(axis=0)
+        var = (weight * (var[below] + (shifted - mean) ** 2)).sum(axis=0)
+    return BoxEnsemble(log_z=log_z, mean_energy=mean, energy_variance=var)
 
 
 def split_partition(
@@ -127,7 +139,8 @@ def split_partition(
 ) -> np.ndarray:
     """ln Z_m = ln Z_left(m) + ln Z_right(N - m) for m = 0..N, with the wall at ``wall_pos``.
 
-    One DP pass of count N per box serves every m; the left box raises first.
+    One DP pass of count N per box serves every m, the left box's first; boxes
+    of the same width, as at L/2, share one pass.
     """
     if not 0 < wall_pos < geometry.length:
         raise ValueError("wall_pos must lie strictly inside the well")
@@ -135,7 +148,18 @@ def split_partition(
     def ln_z(width: float) -> np.ndarray:
         return box_partition(N, BoxSpectrum(width, spin.degeneracy, spin.kind, geometry), thermal)
 
-    return ln_z(wall_pos) + ln_z(geometry.length - wall_pos)[::-1]
+    left = ln_z(wall_pos)
+    right_width = geometry.length - wall_pos
+    right = left if right_width == wall_pos else ln_z(right_width)
+    return left + right[::-1]
+
+
+def _normalized(log_zm: np.ndarray) -> MeasurementDistribution:
+    """f_m = Z_m / sum_n Z_n from ln Z_m, m = 0..N."""
+    weights = np.exp(log_zm - np.max(log_zm))
+    return MeasurementDistribution(
+        support=np.arange(len(log_zm), dtype=np.int64), probabilities=weights / np.sum(weights)
+    )
 
 
 def exact_distribution(
@@ -146,11 +170,7 @@ def exact_distribution(
     thermal: ThermalPoint,
 ) -> MeasurementDistribution:
     """Exact finite-temperature f_m = Z_m / sum_n Z_n at the given wall position."""
-    log_zm = split_partition(N, wall_pos, spin, geometry, thermal)
-    weights = np.exp(log_zm - np.max(log_zm))
-    return MeasurementDistribution(
-        support=np.arange(N + 1, dtype=np.int64), probabilities=weights / np.sum(weights)
-    )
+    return _normalized(split_partition(N, wall_pos, spin, geometry, thermal))
 
 
 def ln_z_derivatives(
@@ -255,15 +275,20 @@ def ensemble_cycle(
 ) -> OracleCycle:
     """Run the full exact cycle: measure, move each wall to equilibrium, total work.
 
-    The wall goes in at L/2, where the closed forms insert it.
+    The wall goes in at L/2, where the closed forms insert it. Its one ln Z vector
+    gives f_m and, for an even N, f* of the central outcome, whose wall is L/2.
     """
-    dist = exact_distribution(N, 0.5 * geometry.length, spin, geometry, thermal)
+    log_z_half = split_partition(N, 0.5 * geometry.length, spin, geometry, thermal)
+    dist = _normalized(log_z_half)
     equilibria = exact_equilibria(N, spin, geometry, thermal)
     # ln f*_m, kept in logs: at low T, f*_m underflows where ln f*_m does not
     log_fstar = np.zeros(N + 1)  # at a boundary Z_m is the only surviving term
     for m in range(1, N // 2 + 1):
         # the mirrored wall of N - m sees this ln Z vector reversed: f*_{N-m} = f*_m
-        log_zn = split_partition(N, equilibria[m], spin, geometry, thermal)
+        if 2 * m == N:
+            log_zn = log_z_half
+        else:
+            log_zn = split_partition(N, equilibria[m], spin, geometry, thermal)
         log_fstar[m] = log_fstar[N - m] = log_zn[m] - np.logaddexp.reduce(log_zn)
     acc = 0.0
     for m in range(N + 1):

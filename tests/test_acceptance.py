@@ -18,8 +18,11 @@ from spinszilard.core import (
     ThermalPoint,
     WellGeometry,
 )
-from spinszilard.equilibrium import level_split_large_n, wall_position
+from spinszilard.equilibrium import wall_position
 from spinszilard.fermion import decompose
+
+from test_equilibrium import level_split_large_n
+from test_fermion import average_absorbed_work
 
 GEOM = WellGeometry(length=1e-9, mass=1e-26)
 E0 = GEOM.reference_energy
@@ -361,7 +364,7 @@ def test_criterion_10_large_n_periodic_limit():
     monotone = deviations[0] > deviations[1] > deviations[2]
     converged = deviations[2] / limit < 0.01
     exact_devs = [
-        abs(fermion.average_absorbed_work(decompose(4 * u * n + k, u), GEOM) - limit)
+        abs(average_absorbed_work(decompose(4 * u * n + k, u), GEOM) - limit)
         for n in (1, 10, 100)
     ]
     exact_monotone = exact_devs[0] > exact_devs[1] > exact_devs[2]

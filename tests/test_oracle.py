@@ -110,6 +110,16 @@ def test_box_partition_one_pass_serves_every_count(kind, degeneracy):
             assert whole[k] == oracle.box_partition(k, spectrum, thermal)[k]
 
 
+def test_box_dp_refuses_an_occupancy_whose_beta_times_a_overflows():
+    """Near the lowest normal k_B T, beta * a passes 1.8e308: a level could not hold a."""
+    thermal = ThermalPoint(1.7e-285)  # beta * 4 is finite, beta * 5 is not
+    spectrum = oracle.BoxSpectrum(0.5 * L, 1, ParticleKind.BOSON, GEOM)
+    for dp in (oracle.box_partition, oracle.box_ensemble):
+        with pytest.raises(ValueError, match="overflows"):
+            dp(5, spectrum, thermal)
+    assert np.isfinite(oracle.box_partition(4, spectrum, thermal)).all()
+
+
 def test_split_partition_hot_single_fermion_matches_theta_sum():
     """Hundreds of levels: the DP runs until a level changes nothing, below 1024."""
     thermal = thermal_at(1e5)
@@ -224,6 +234,37 @@ def test_wall_search_evaluation_budget(monkeypatch):
                 assert sum(passes.values()) == 2 * sum(passes[m] for m in lighter)
                 for m in lighter:
                     assert 1 <= passes[m] == passes[N - m] <= 8, (spin, N, kbt, m)
+
+
+def test_ensemble_cycle_pass_count(monkeypatch):
+    """A cycle runs one ln Z pass at L/2, which both boxes and an even N's central
+    outcome share, and one per box at each lighter-half wall; its only moment
+    passes are the wall search's. A duplicate or moment-carrying pass fails here."""
+    passes = collections.Counter()
+    partition, ensemble = oracle.box_partition, oracle.box_ensemble
+
+    def counted_partition(count, spectrum, thermal):
+        passes["ln_z"] += 1
+        return partition(count, spectrum, thermal)
+
+    def counted_ensemble(count, spectrum, thermal):
+        passes["moments"] += 1
+        return ensemble(count, spectrum, thermal)
+
+    monkeypatch.setattr(oracle, "box_partition", counted_partition)
+    monkeypatch.setattr(oracle, "box_ensemble", counted_ensemble)
+    for spin in DOMAIN_SPINS:
+        for N in range(1, 7):
+            for kbt in (0.02, 0.1, 1.0):
+                thermal = thermal_at(kbt)
+                passes.clear()
+                oracle.ensemble_cycle(N, spin, GEOM, thermal)
+                cycle = passes.copy()
+                passes.clear()
+                oracle.exact_equilibria(N, spin, GEOM, thermal)
+                assert cycle["ln_z"] == 1 + 2 * len(range(1, (N + 1) // 2)), (spin, N, kbt)
+                assert passes["ln_z"] == 0
+                assert cycle["moments"] == passes["moments"], (spin, N, kbt)
 
 
 def test_exact_distribution_bits_are_pinned():
