@@ -17,10 +17,12 @@ byte-identical files.
 
 CSV is comma-separated, each row ends in ``\\n``, and no cell is ever quoted: a
 cell is a number, ``undefined``, ``true``/``false``, a species name or empty,
-so none holds a comma, a quote or a newline. Each row reaches its handle in
-one write, as it is formed. The argument parser is built on the first call of
-``main`` and shared by every later call in the process; parsing keeps no state
-in it.
+so none holds a comma, a quote or a newline. Rows reach their handle as they
+are formed: ``phase``'s T_c table and work grid and ``work``'s (N, T) rows in
+blocks of at most ``ROWS_PER_WRITE``, each one %-template and one write, and
+the other subcommands one row per write. The argument parser is built on the
+first call of ``main`` and shared by every later call in the process; parsing
+keeps no state in it.
 """
 from __future__ import annotations
 
@@ -53,6 +55,8 @@ EXIT_ORACLE = 4
 UNDEFINED = "undefined"
 #: the most values one --n-range or --temp-range may expand to
 MAX_RANGE_VALUES = 1_000_000
+#: the most CSV rows that ``phase`` and ``work`` format into one string and one write
+ROWS_PER_WRITE = 512
 
 
 class Refusal(Exception):
@@ -272,10 +276,11 @@ def _emit(args: argparse.Namespace, header: Iterable[str], lines: Iterable[str],
     """Write ``document`` as JSON, or ``header`` and ``lines`` as CSV; whether it was CSV.
 
     A document is a single result: JSON is the default exactly when one is given,
-    and --format json without one exits 2. Each of ``lines`` is a CSV row without
-    its newline, written as it is formed; no cell needs quoting (see the module
-    docstring). ``out`` defaults to --out. The caller raises its errors first, so
-    a refused run writes nothing.
+    and --format json without one exits 2. Each of ``lines`` is one or more CSV
+    rows joined by newlines, without the last newline; each is written as it is
+    formed, in one write. No cell needs quoting (see the module docstring).
+    ``out`` defaults to --out. The caller raises its errors first, so a refused
+    run writes nothing.
     """
     as_csv = (args.format or ("csv" if document is None else "json")) == "csv"
     if not as_csv and document is None:
@@ -289,6 +294,46 @@ def _emit(args: argparse.Namespace, header: Iterable[str], lines: Iterable[str],
         for line in lines:
             write(line + "\n")
     return True
+
+
+def _grid_lines(
+    rows: Iterable[tuple[str, str, phase.PhasePoint]], t_values: list[float],
+    cells: Callable[[str, bool], str],
+    columns: Callable[[np.ndarray, np.ndarray], list[np.ndarray]],
+) -> Iterator[str]:
+    """The CSV rows of each point at each temperature, at most ``ROWS_PER_WRITE`` per line.
+
+    ``rows`` gives each point with the text before and after its per-temperature
+    cells, read a block at a time. ``cells(T text, T > 0)`` is the %-template of
+    those cells, and ``columns(T, W)`` the arrays of the values it reads, in
+    order, each shaped like the block's work ``W`` (points, temperatures). While
+    every temperature fits in one line, a line holds whole points and each T is
+    formatted once per call; otherwise it holds one point's window of
+    temperatures, and T is the template's first value.
+    """
+    t_arr = np.array(t_values)
+    window = min(len(t_values), ROWS_PER_WRITE)
+    whole = window == len(t_values)
+    middles = [cells(_fmt(T), T > 0) for T in t_values] if whole else []
+    spec = (cells("%.8e", False), cells("%.8e", True))
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, ROWS_PER_WRITE // window)):
+        for lo in range(0, len(t_values), window):
+            temps = t_arr[lo:lo + window]
+            work = phase.work_rows([point for _, _, point in block], temps)
+            values = columns(temps, work)
+            if not whole:
+                middles = ([spec[True]] * len(temps) if temps.min() > 0
+                           else [spec[T > 0] for T in temps.tolist()])
+                values.insert(0, np.broadcast_to(temps, work.shape))
+            template = "\n".join(
+                head + (tail + "\n" + head).join(middles) + tail for head, tail, _ in block
+            )
+            # the cells of each row in turn: every column's values interleaved
+            cells_in_order: list[Any] = [None] * (len(values) * work.size)
+            for i, column in enumerate(values):
+                cells_in_order[i::len(values)] = column.ravel().tolist()
+            yield template % tuple(cells_in_order)
 
 
 def _strict(args: argparse.Namespace, undefined: Iterable[bool]) -> None:
@@ -312,44 +357,40 @@ def cmd_work(args: argparse.Namespace) -> int:
     e0 = geometry.reference_energy
     fermion_fill = spin.kind is ParticleKind.FERMION
     points = phase.phase_curve(spin, geometry, n_values)
-    t_arr = np.array(t_values)
     # the undefined cells: Wtot_per_kBT at T = 0 and Tc_kelvin where a point has no T_c
     _strict(args, itertools.chain(
         (T <= 0 for T in t_values),
         (point.coefficients.critical_temperature is None for point in points),
     ))
 
-    def head(point: phase.PhasePoint) -> list[Any]:
-        """The cells that depend on N alone, formatted once for all its temperatures."""
+    def row(point: phase.PhasePoint) -> tuple[str, str, phase.PhasePoint]:
+        """The cells that depend on N alone, before and after each temperature's cells."""
         coeffs = point.coefficients
         filling = phase.filling(spin, point.N)
-        return [
+        tc = coeffs.critical_temperature
+        return _line([
             spin.kind.value, spin.twice_spin, point.N,
-            str(filling.n) if fermion_fill else "", str(filling.k) if fermion_fill else "",
-            _fmt(coeffs.slope), _fmt(coeffs.absorbed), _fmt(coeffs.absorbed / e0),
-        ]
+            filling.n if fermion_fill else None, filling.k if fermion_fill else None,
+            coeffs.slope, coeffs.absorbed, coeffs.absorbed / e0,
+        ]) + ",", "," + (UNDEFINED if tc is None else _fmt(tc)), point
 
-    def tails(point: phase.PhasePoint) -> Iterator[tuple[str, str, str, str]]:
-        """The cells of each temperature, in ``t_values`` order."""
-        tc = point.coefficients.critical_temperature
-        tc = UNDEFINED if tc is None else _fmt(tc)
-        for T, w in zip(t_values, point.work(t_arr).tolist()):
-            # _fmt's format, inlined: this is formed once per (N, T) cell
-            per_kbt = f"{w / (BOLTZMANN * T):.8e}" if T > 0 else UNDEFINED
-            yield f"{T:.8e}", f"{w:.8e}", per_kbt, tc
+    def cells(t_text: str, positive: bool) -> str:
+        # "%.0s" reads the W / k_B T of T = 0 and prints nothing in its place
+        return f"{t_text},%.8e," + ("%.8e" if positive else f"%.0s{UNDEFINED}")
 
-    def lines() -> Iterator[str]:
-        for point in points:
-            lead = _line(head(point))
-            for T, w, per_kbt, tc in tails(point):
-                yield f"{lead},{T},{w},{per_kbt},{tc}"
+    def columns(temps: np.ndarray, work: np.ndarray) -> list[np.ndarray]:
+        with np.errstate(all="ignore"):
+            return [work, work / (BOLTZMANN * temps)]
 
+    lines: Iterable[str] = _grid_lines(map(row, points), t_values, cells, columns)
     document = None
     if len(points) * len(t_values) == 1:
+        lines = [*lines]
         (point,) = points
-        (tail,) = tails(point)
-        document = dict(zip(_WORK_COLUMNS, head(point) + list(tail)))
-    _emit(args, _WORK_COLUMNS, lines(), document)
+        # the one row's cells after N are the document's strings
+        document = dict(zip(_WORK_COLUMNS, [spin.kind.value, spin.twice_spin, point.N]
+                            + lines[0].split(",")[3:]))
+    _emit(args, _WORK_COLUMNS, lines, document)
     return EXIT_OK
 
 
@@ -392,32 +433,31 @@ def cmd_phase(args: argparse.Namespace) -> int:
     if t_values and not args.out:
         raise Refusal("the work grid needs --out (written to OUT.grid.csv)")
     lead = ["two_s"] if len(spins) > 1 else []
-    # one curve per spin serves both the T_c table and the work grid
+    # one curve per spin serves both the T_c table and the work grid, whose rows open alike
     curves = [(spin, phase.phase_curve(spin, geometry, n_values)) for spin in spins]
     _strict(args, (point.coefficients.critical_temperature is None
                    for _, points in curves for point in points))
-    lines = (
-        _line([spin.twice_spin] * len(lead)
-              + [point.N, UNDEFINED if tc is None else tc, str(tc is not None).lower()])
-        for spin, points in curves
-        for point in points
-        for tc in [point.coefficients.critical_temperature]
-    )
-    _emit(args, lead + ["N", "T_c_kelvin", "defined"], lines)
+    rows = [(f"{spin.twice_spin}," * len(lead) + f"{point.N},", "", point)
+            for spin, points in curves for point in points]
+
+    def table_lines() -> Iterator[str]:
+        for start in range(0, len(rows), ROWS_PER_WRITE):
+            tcs = [(head, point.coefficients.critical_temperature)
+                   for head, _, point in rows[start:start + ROWS_PER_WRITE]]
+            # "%.0s" reads an undefined T_c and prints nothing in its place
+            template = "\n".join(head + ("%.8e,true" if tc is not None else
+                                         f"%.0s{UNDEFINED},false") for head, tc in tcs)
+            yield template % tuple(tc for _, tc in tcs)
+
+    _emit(args, lead + ["N", "T_c_kelvin", "defined"], table_lines())
     if t_values:
-        t_arr = np.array(t_values)
 
-        def grid_lines() -> Iterator[str]:
-            for spin, points in curves:
-                spin_cell = f"{spin.twice_spin}," if lead else ""
-                for point in points:
-                    head = f"{spin_cell}{point.N},"
-                    # _fmt's format, inlined: this line is formed once per (N, T) cell
-                    for T, w in zip(t_values, point.work(t_arr).tolist()):
-                        yield f"{head}{T:.8e},{w:.8e},{(w > 0) - (w < 0)}"
+        def columns(temps: np.ndarray, work: np.ndarray) -> list[np.ndarray]:
+            return [work, (work > 0).astype(np.int64) - (work < 0)]
 
+        grid_lines = _grid_lines(rows, t_values, lambda t_text, _: f"{t_text},%.8e,%d", columns)
         grid_header = lead + ["N", "T", "W_tot_joule", "sign"]
-        _emit(args, grid_header, grid_lines(), out=args.out + ".grid.csv")
+        _emit(args, grid_header, grid_lines, out=args.out + ".grid.csv")
     return EXIT_OK
 
 

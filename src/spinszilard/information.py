@@ -219,14 +219,13 @@ def work_coefficients_each(
 def _chunk_coefficients(chunk: list[Filling], geometry: WellGeometry) -> list[WorkDecomposition]:
     """One pass over flat interior columns of every filling in ``chunk``.
 
-    Each filling adds f, mu, its level and its wall ratios for its interior
-    outcomes (0 < mu < size / 2), and one ``level_splits`` call forms every
-    splitting. Each W_0 is then twice the dot of f and c over that filling's run,
-    the dot that ``OutcomeTable.work_coefficients`` takes over the same values.
+    Each filling adds f and its wall ratios for its interior outcomes
+    (0 < mu < size / 2); the mu and level columns come from each filling's run
+    length, and one ``level_splits`` call forms every splitting. Each W_0 is then
+    twice the dot of f and c over that filling's run, the dot that
+    ``OutcomeTable.work_coefficients`` takes over the same values.
     """
     f: list[float] = []
-    mu: list[int] = []
-    levels: list[int] = []
     ratios: list[float] = []
     slopes: list[float] = []
     ends: list[int] = []
@@ -238,16 +237,18 @@ def _chunk_coefficients(chunk: list[Filling], geometry: WellGeometry) -> list[Wo
         central = ways[-1] / total if size % 2 else 0.0
         slopes.append(_slope(central, math.log(ways[0]) - math.log(total)))
         f += [w / total for w in ways[1:half]]
-        mu += range(1, half)
-        levels += [filling.level] * (half - 1)
         ratios += filling.ratios(support[1:half])
         ends.append(len(f))
-    splits = level_splits(np.array(levels, dtype=np.int64), ratios, geometry)
-    c = np.array(mu, dtype=np.int64) * splits
+    # each filling's run of interior outcomes: its level throughout, mu = 1, 2, ...
+    starts = np.array([0] + ends[:-1], dtype=np.int64)
+    runs = np.array(ends, dtype=np.int64) - starts
+    levels = np.repeat(np.array([filling.level for filling in chunk], dtype=np.int64), runs)
+    mu = np.arange(1, len(f) + 1, dtype=np.int64) - np.repeat(starts, runs)
+    c = mu * level_splits(levels, ratios, geometry)
     f_col = np.array(f)
     return [
         WorkDecomposition(slope=slope, absorbed=2.0 * float(f_col[a:b] @ c[a:b]))
-        for slope, a, b in zip(slopes, [0] + ends, ends)
+        for slope, a, b in zip(slopes, starts.tolist(), ends)
     ]
 
 

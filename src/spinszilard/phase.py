@@ -9,14 +9,15 @@ consumers can tell "no transition" from numeric failure.
 ``phase_curve`` keeps each N's work coefficients D and W_0 as a ``PhasePoint``;
 they come from one chunked pass over the whole N range
 (``information.work_coefficients_each``), with no outcome table, and carry the
-bits of ``information.work_coefficients``. A point's work at given
-temperatures (one row of the (N, T) work grid) reduces those two numbers, and
-``extremal_report`` reads every field from one such curve.
+bits of ``information.work_coefficients``. ``work_rows`` reduces those two
+numbers to the work of a block of points at given temperatures, one point per
+row, in one array expression: that block is what the CLI formats into a block
+of (N, T) grid rows. ``extremal_report`` reads every field from one curve.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,10 +36,21 @@ class PhasePoint:
 
     def work(self, temperatures: np.ndarray) -> np.ndarray:
         """Total work D k_B T - W_0 [J] at each temperature, as ``total_work`` forms it."""
-        # min carries a NaN through, so NaN fails as in ThermalPoint
-        if not temperatures.min(initial=0.0) >= 0:
-            raise ValueError("temperatures must be >= 0")
-        return self.coefficients.slope * BOLTZMANN * temperatures - self.coefficients.absorbed
+        return work_rows([self], temperatures)[0]
+
+
+def work_rows(points: Sequence[PhasePoint], temperatures: np.ndarray) -> np.ndarray:
+    """Total work [J] of each point (a row) at each temperature (a column).
+
+    One array expression forms every cell, with ``PhasePoint.work``'s order of
+    operations: (D k_B) T - W_0, so each cell carries ``total_work``'s bits.
+    """
+    # min carries a NaN through, so NaN fails as in ThermalPoint
+    if not temperatures.min(initial=0.0) >= 0:
+        raise ValueError("temperatures must be >= 0")
+    slope = np.array([point.coefficients.slope for point in points])
+    absorbed = np.array([point.coefficients.absorbed for point in points])
+    return (slope * BOLTZMANN)[:, None] * temperatures - absorbed[:, None]
 
 
 def filling(spin: SpinStatistics, N: int) -> FermionFilling | BosonFilling:

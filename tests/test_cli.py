@@ -13,6 +13,7 @@ import tempfile
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -21,6 +22,8 @@ from spinszilard.core import BOLTZMANN, ParticleKind, SpinStatistics, ThermalPoi
 
 # temperatures in kelvin; k_B T / E0 = 0.05 is roughly T = 0.0199 K here
 LOW_T = "0.02"
+#: the CLI's default well
+GEOM = WellGeometry(length=1e-9, mass=1e-26)
 
 
 def run(argv):
@@ -394,9 +397,11 @@ def test_phase_builds_no_outcome_table_and_each_filling_once(tmp_path, monkeypat
     assert fillings == {(two_s, N): 1 for two_s in (0, 2, 4) for N in range(1, 21)}
 
 
-def test_phase_files_are_written_row_by_row(tmp_path, monkeypatch):
-    """Both files reach their handle one line per write, not as one string."""
-    writes = collections.Counter()
+@pytest.mark.parametrize("n_range,temp_range", [("1:20", "0:1:0.05"), ("1:3", "0:1:0.0009")],
+                         ids=["whole-points", "temperature-windows"])
+def test_phase_files_are_written_in_bounded_blocks(tmp_path, monkeypatch, n_range, temp_range):
+    """Each write holds whole rows, at most ROWS_PER_WRITE of them: the grid is never one string."""
+    writes = collections.defaultdict(list)
     output = cli._output
 
     @contextlib.contextmanager
@@ -404,19 +409,89 @@ def test_phase_files_are_written_row_by_row(tmp_path, monkeypatch):
         with output(out) as handle:
             class Counting:
                 def write(self, text):
-                    writes[out] += 1
+                    writes[out].append(text)
                     return handle.write(text)
 
             yield Counting()
 
     monkeypatch.setattr(cli, "_output", counted)
     out = str(tmp_path / "p.csv")
-    argv = ["phase", "--species", "boson", "--two-s", "0,2", "--n-range", "1:20",
-            "--temp-range", "0:1:0.05", "--out", out]
+    argv = ["phase", "--species", "boson", "--two-s", "0,2", "--n-range", n_range,
+            "--temp-range", temp_range, "--out", out]
     assert run(argv) == 0
-    lines = {path: len(pathlib.Path(path).read_text().splitlines()) for path in writes}
-    assert lines == {out: 1 + 2 * 20, out + ".grid.csv": 1 + 2 * 20 * 21}
-    assert writes == lines
+    points = 2 * len(cli._parse_range(n_range, int))
+    grid_rows = points * len(cli._parse_range(temp_range, float))
+    assert grid_rows > cli.ROWS_PER_WRITE
+    for path, rows in [(out, points), (out + ".grid.csv", grid_rows)]:
+        texts = writes[path]
+        assert "".join(texts) == pathlib.Path(path).read_text()
+        assert all(text.endswith("\n") for text in texts)
+        assert max(text.count("\n") for text in texts) <= cli.ROWS_PER_WRITE
+        # the header, then at least ceil(rows / block) writes of data rows
+        assert len(texts) >= 1 + -(-rows // cli.ROWS_PER_WRITE)
+        assert "".join(texts).count("\n") == 1 + rows
+
+
+def _reference_phase(spins, n_values, t_values):
+    """The T_c table and the work grid, formed one f-string per row."""
+    lead = "two_s," if len(spins) > 1 else ""
+    table, grid = [lead + "N,T_c_kelvin,defined"], [lead + "N,T,W_tot_joule,sign"]
+    for spin in spins:
+        spin_cell = f"{spin.twice_spin}," if lead else ""
+        for point in phase.phase_curve(spin, GEOM, n_values):
+            tc = point.coefficients.critical_temperature
+            table.append(f"{spin_cell}{point.N}," + ("undefined,false" if tc is None
+                                                     else f"{tc:.8e},true"))
+            for T, w in zip(t_values, point.work(np.array(t_values)).tolist()):
+                grid.append(f"{spin_cell}{point.N},{T:.8e},{w:.8e},{(w > 0) - (w < 0)}")
+    return ["\n".join(lines) + "\n" for lines in (table, grid)]
+
+
+def _reference_work(spin, n_values, t_values):
+    """``work``'s CSV, formed one f-string per (N, T) row."""
+    e0 = GEOM.reference_energy
+    lines = [",".join(cli._WORK_COLUMNS)]
+    for point in phase.phase_curve(spin, GEOM, n_values):
+        coeffs, filling = point.coefficients, phase.filling(spin, point.N)
+        n, k = (filling.n, filling.k) if spin.kind is ParticleKind.FERMION else ("", "")
+        head = (f"{spin.kind.value},{spin.twice_spin},{point.N},{n},{k},{coeffs.slope:.8e},"
+                f"{coeffs.absorbed:.8e},{coeffs.absorbed / e0:.8e}")
+        tc = coeffs.critical_temperature
+        tc = "undefined" if tc is None else f"{tc:.8e}"
+        for T, w in zip(t_values, point.work(np.array(t_values)).tolist()):
+            per_kbt = f"{w / (BOLTZMANN * T):.8e}" if T > 0 else "undefined"
+            lines.append(f"{head},{T:.8e},{w:.8e},{per_kbt},{tc}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command,species,two_s,n_range,temp_range", [
+    # one spin; a T = 0 column; boson N = 0 has D = 0; 31 points end mid-block
+    ("phase", "boson", "0", "0:30", "0:1:0.05"),
+    # several spins; one temperature; fermion k = 0 at N = 0, 4, 8, ...
+    ("phase", "fermion", "1,3", "0:40", "0.5:0.5"),
+    # more temperatures than one block holds: three windows, the last one partial
+    ("phase", "fermion", "1", "0:9", "0:1:0.0009"),
+    # a T_c table of more than one block; two temperatures
+    ("phase", "boson", "0,2,40", "0:700", "0.1:0.2"),
+    ("work", "fermion", "3", "0:40", "0:1:0.05"),
+    ("work", "boson", "2", "0:3", "0:1:0.0009"),
+    ("work", "fermion", "1", "0:600", "0.3:0.3"),
+])
+def test_block_rows_match_one_fstring_per_row(tmp_path, command, species, two_s, n_range,
+                                              temp_range):
+    """Rows formatted a block at a time have the bytes of one f-string per row."""
+    out = tmp_path / "out.csv"
+    assert run([command, "--species", species, "--two-s", two_s, "--n-range", n_range,
+                "--temp-range", temp_range, "--out", str(out)]) == 0
+    spins = [SpinStatistics(twice_spin=int(t), kind=ParticleKind(species))
+             for t in two_s.split(",")]
+    n_values = cli._parse_range(n_range, int)
+    t_values = cli._parse_range(temp_range, float)
+    if command == "phase":
+        files = [out.read_text(), pathlib.Path(f"{out}.grid.csv").read_text()]
+        assert files == _reference_phase(spins, n_values, t_values)
+    else:
+        assert out.read_text() == _reference_work(spins[0], n_values, t_values)
 
 
 def test_phase_grid_memory_does_not_grow_with_the_grid(tmp_path):

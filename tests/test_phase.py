@@ -103,11 +103,13 @@ def test_phase_point_work_rejects_negative_temperature():
 
 @pytest.mark.parametrize("spin", [SpinStatistics.fermion(9), SpinStatistics.boson(2)], ids=["f9", "b2"])
 def test_phase_point_work_is_total_work_bit_for_bit(spin):
+    """Each point's work, alone and as a row of the whole curve's block, has total_work's bits."""
     temps = np.linspace(0.0, 1.0, 21)
-    for point in phase.phase_curve(spin, GEOM, range(0, 45)):
-        works = point.work(temps).tolist()
-        expected = [point.coefficients.total_work(ThermalPoint(T)) for T in temps.tolist()]
-        assert [w.hex() for w in works] == [w.hex() for w in expected]
+    points = phase.phase_curve(spin, GEOM, range(0, 45))
+    for point, block_row in zip(points, phase.work_rows(points, temps).tolist()):
+        expected = [point.coefficients.total_work(ThermalPoint(T)).hex() for T in temps.tolist()]
+        assert [w.hex() for w in point.work(temps).tolist()] == expected
+        assert [w.hex() for w in block_row] == expected
 
 
 def test_phase_point_reads_its_coefficients():
