@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .combinatorics import binomial_diagonal, binomial_row
 from .equilibrium import eq_ratio
 from .information import (  # noqa: F401  (re-exported species-agnostic path)
+    LightHalf,
     measurement_distribution,
     relative_entropy_work,
     total_work,
@@ -21,7 +22,7 @@ from .information import (  # noqa: F401  (re-exported species-agnostic path)
 
 
 @dataclass(frozen=True)
-class BosonFilling:
+class BosonFilling(LightHalf):
     """N spin-s bosons (integer s) on the ground level of each half."""
 
     N: int
@@ -60,7 +61,7 @@ class BosonFilling:
 
 
 @dataclass(frozen=True)
-class LargeSpinBosons:
+class LargeSpinBosons(LightHalf):
     """The s -> infinity limit of N bosons: each one is on either side with probability 1/2.
 
     Only the counts change, to C(N, m); the outcomes, level and walls are ``BosonFilling``'s.

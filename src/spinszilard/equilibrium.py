@@ -52,7 +52,7 @@ def wall_position(ratio: float, geometry: WellGeometry) -> float:
 
 
 def level_splits(
-    level: int | np.ndarray, ratios: list[float], geometry: WellGeometry
+    level: int | np.ndarray, ratios: list[float] | tuple[float, ...], geometry: WellGeometry
 ) -> np.ndarray:
     """Exact |E_level(l_eq) - E_level(L - l_eq)| at each interior ratio's wall, as a numpy column.
 

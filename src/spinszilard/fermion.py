@@ -16,6 +16,7 @@ from .combinatorics import binomial_row
 from .core import HBAR, WellGeometry
 from .equilibrium import eq_ratio
 from .information import (  # noqa: F401  (re-exported species-agnostic path)
+    LightHalf,
     measurement_distribution,
     outcome_table,
     relative_entropy_work,
@@ -25,7 +26,7 @@ from .information import (  # noqa: F401  (re-exported species-agnostic path)
 
 
 @dataclass(frozen=True)
-class FermionFilling:
+class FermionFilling(LightHalf):
     """Decomposition N = 4 u n + k with 0 <= k < 4u."""
 
     N: int

@@ -5,9 +5,13 @@ splitting sets f_m*, and two column builders over a range of outcomes:
 ``ways(ms)``, the exact configuration counts of the remainder, and
 ``ratios(ms)``, the wall ratios l/(L - l), each ``equilibrium.eq_ratio`` of
 the filling's own two half loads. The s -> infinity boson limit
-(``boson.LargeSpinBosons``) is one more filling type. ``outcome_table`` calls
-each once per table, on the lighter half of the support only, and mirrors the
-rest (m <-> lo + hi - m): the total count is twice the lighter half's less the
+(``boson.LargeSpinBosons``) is one more filling type. Each filling calls each
+builder once, not once per table: its ``LightHalf`` attributes form the
+lighter half of the support and keep it, ``light_counts`` (the exact counts,
+their total and f) when f is first read and ``light_columns`` (ln f, lw and
+the interior wall ratios) when a table first needs them. ``outcome_table``
+then forms only the geometry's level splittings and mirrors the rest
+(m <-> lo + hi - m): the total count is twice the lighter half's less the
 central outcome, and the edge count (all of the remainder on one side) is the
 first one. The counts stay exact Python integers and their logs are taken of
 the integers; the level splittings of every interior wall are one numpy
@@ -19,8 +23,9 @@ the wall). Every observable is a reduction over that table, for both species.
 W_0 is twice sum f_m c_m over the interior outcomes (0 < mu < size / 2), since
 f and c mirror and c is 0 at the edge and central outcomes. Only D and W_0 of
 many fillings at once (``work_coefficients_each``, behind ``phase.phase_curve``
-and the boson rows of ``szilard limits``) skip the table: they come from flat
-interior columns, one pass per bounded chunk of fillings, with the table's bits.
+and the boson rows of ``szilard limits``) skip the table and keep no columns,
+since each of their fillings is used once: they come from flat interior
+columns, one pass per bounded chunk of fillings, with the table's bits.
 
 Entropies are kept in nats throughout (one bit = ln 2 nats); the erasure
 cost k_B T H(f) is identical either way and nats avoid conversion factors
@@ -29,6 +34,7 @@ in the W_net = W_tot - W_eras identity.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Iterable, NamedTuple, Protocol
 
 import numpy as np
@@ -48,13 +54,24 @@ CHUNK_OUTCOMES = 4096
 
 
 class Filling(Protocol):
-    """A species' filling type: its outcomes, one contiguous ascending range, and its columns."""
+    """A species' filling type: its outcomes, one contiguous ascending range, and its columns.
+
+    ``ways`` and ``ratios`` build the columns of any range of outcomes. Every
+    filling type also derives from ``LightHalf``, whose two attributes call them
+    on the lighter half once per filling, not once per table or distribution.
+    """
 
     @property
     def support(self) -> range: ...
 
     @property
     def level(self) -> int: ...
+
+    @property
+    def light_counts(self) -> LightCounts: ...
+
+    @property
+    def light_columns(self) -> LightColumns: ...
 
     def ways(self, ms: range) -> list[int]:
         """Exact configuration counts of the outcomes ``ms``.
@@ -67,6 +84,61 @@ class Filling(Protocol):
         ...
 
     def ratios(self, ms: range) -> list[float]: ...
+
+
+class LightCounts(NamedTuple):
+    """The lighter half's exact counts, ascending, the count of all outcomes, and f = ways/total."""
+
+    ways: tuple[int, ...]
+    total: int
+    f: np.ndarray  # read-only
+
+
+class LightColumns(NamedTuple):
+    """The lighter half's geometry- and temperature-free columns.
+
+    ``rows`` holds f, ln f, lw and a row of zeros, read-only: a table fills its
+    own copy of the last row with its c. ``ratios`` is the wall ratio of each
+    interior outcome (0 < mu < size / 2).
+    """
+
+    rows: np.ndarray
+    ratios: tuple[float, ...]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class LightHalf:
+    """The lighter half of a filling's support, formed once per filling and kept on it.
+
+    Both attributes live in the instance's ``__dict__``, so a frozen dataclass
+    keeps its field-only equality and hash, and they die with the filling.
+    """
+
+    @cached_property
+    def light_counts(self: Filling) -> LightCounts:
+        """One ``ways`` call: all that a measurement distribution reads."""
+        ways, total = _light_ways(self)
+        return LightCounts(tuple(ways), total, _read_only(np.array([w / total for w in ways])))
+
+    @cached_property
+    def light_columns(self: Filling) -> LightColumns:
+        """ln f and lw of the exact counts, and one ``ratios`` call over the interior outcomes."""
+        ways, total, f = self.light_counts
+        support = self.support
+        size = len(support)
+        log_ways = np.array([math.log(w) for w in ways])
+        log_f = log_ways - math.log(total)
+        # every outcome is normalized by the edge outcome, but the central one's
+        # symmetric load keeps the wall at L/2, so f* = f there
+        lw = log_ways - log_ways[0]
+        if size % 2:
+            lw[-1] = log_f[-1]
+        rows = _read_only(np.array([f, log_f, lw, np.zeros(len(ways))]))
+        return LightColumns(rows, tuple(self.ratios(support[1 : size // 2])))
 
 
 class OutcomeTable(NamedTuple):
@@ -153,27 +225,19 @@ def _mirror(light: np.ndarray, size: int) -> np.ndarray:
 def outcome_table(filling: Filling, geometry: WellGeometry) -> OutcomeTable:
     """The table of every m of the support, ascending.
 
-    Only the lighter half is built; the other half mirrors it, so every column is
-    bitwise symmetric and each mirror pair costs one level splitting.
+    Only the lighter half is built, from the filling's ``light_columns`` and one
+    ``level_splits`` call; the other half mirrors it, so every column is bitwise
+    symmetric and each mirror pair costs one level splitting. The columns are
+    fresh arrays: writing into them changes no other table.
     """
     support = filling.support
     size = len(support)
-    ways, total = _light_ways(filling)
-    log_ways = np.array([math.log(w) for w in ways])
-    log_f = log_ways - math.log(total)
-    # every outcome is normalized by the edge outcome, but the central one's
-    # symmetric load keeps the wall at L/2, so f* = f there
-    lw = log_ways - log_ways[0]
-    if size % 2:
-        lw[-1] = log_f[-1]
+    light, ratios = filling.light_columns
+    light = light.copy()
     # mu remainder particles on the lighter side; the edge (mu = 0) and the
     # central outcome carry no splitting
-    interior = slice(1, size // 2)
-    c = np.zeros(len(ways))
-    c[interior] = np.arange(1, size // 2) * level_splits(
-        filling.level, filling.ratios(support[interior]), geometry
-    )
-    light = np.array([[w / total for w in ways], log_f, lw, c])
+    half = size // 2
+    light[3, 1:half] = np.arange(1, half) * level_splits(filling.level, ratios, geometry)
     f, log_f, lw, c = _mirror(light, size)
     return OutcomeTable(np.arange(support.start, support.stop, dtype=np.int64), f, log_f, lw, c)
 
@@ -181,10 +245,9 @@ def outcome_table(filling: Filling, geometry: WellGeometry) -> OutcomeTable:
 def measurement_distribution(filling: Filling) -> MeasurementDistribution:
     """Probabilities f_m over the ground-state support; symmetric under the mirror."""
     support = filling.support
-    ways, total = _light_ways(filling)
     return MeasurementDistribution(
         support=np.arange(support.start, support.stop, dtype=np.int64),
-        probabilities=_mirror(np.array([w / total for w in ways]), len(support)),
+        probabilities=_mirror(filling.light_counts.f, len(support)),
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from spinszilard import fermion, information, phase
-from spinszilard.boson import BosonFilling
+from spinszilard.boson import BosonFilling, LargeSpinBosons
 from spinszilard.combinatorics import binomial
 from spinszilard.core import (
     BOLTZMANN,
@@ -273,19 +274,25 @@ def reference_table(filling, geometry):
     return [list(filling.support)] + [col + col[: size // 2][::-1] for col in (f, log_f, lw, c)]
 
 
-@pytest.mark.parametrize(
-    "geometry", [GEOM, WellGeometry(length=3.7e-8, mass=6.6e-27)], ids=["nm", "wide"]
-)
-@pytest.mark.parametrize(
-    "filling",
-    # an empty well and a closed shell (one outcome each), odd and even supports, particle and
-    # hole cases, n = 0 and n > 0, and counts far past the float range
+WIDE = WellGeometry(length=3.7e-8, mass=6.6e-27)
+
+#: an empty well and a closed shell (one outcome each), odd and even supports, particle and
+#: hole cases, n = 0 and n > 0, and counts far past the float range
+ROW_FILLINGS = (
     [decompose(N, u) for N, u in [(0, 1), (4, 1), (1, 1), (2, 1), (7, 1), (3, 5), (23, 5), (17, 5)]]
     + [decompose(N, u) for N, u in [(37, 5), (126, 3), (519, 20), (2001, 1001)]]
     + [BosonFilling(N=N, s=s) for N, s in [(0, 2), (1, 0), (2, 0), (6, 1), (11, 4), (40, 7)]]
-    + [BosonFilling(N=N, s=s) for N, s in [(519, 20), (2000, 1000)]],
-    ids=repr,
+    + [BosonFilling(N=N, s=s) for N, s in [(519, 20), (2000, 1000)]]
 )
+
+
+def fresh(filling):
+    """An equal filling that has formed none of its columns yet."""
+    return dataclasses.replace(filling)
+
+
+@pytest.mark.parametrize("geometry", [GEOM, WIDE], ids=["nm", "wide"])
+@pytest.mark.parametrize("filling", ROW_FILLINGS, ids=repr)
 def test_outcome_table_is_the_row_by_row_table_bit_for_bit(filling, geometry):
     """Every column, and the distribution, carries the bits of a scalar row-by-row build."""
     expected = reference_table(filling, geometry)
@@ -295,11 +302,45 @@ def test_outcome_table_is_the_row_by_row_table_bit_for_bit(filling, geometry):
     assert [dist.support.tolist(), dist.probabilities.tolist()] == expected[:2]
 
 
-@pytest.mark.parametrize(
-    "filling", [decompose(23, 5), decompose(126, 3), BosonFilling(N=40, s=7)], ids=repr
-)
-def test_outcome_table_builds_each_column_once(filling, monkeypatch):
-    """One ``ways`` and one ``ratios`` call per table, however long the support."""
+@pytest.mark.parametrize("filling", ROW_FILLINGS, ids=repr)
+def test_a_table_at_a_second_geometry_is_the_fresh_table(filling):
+    """Columns formed for one geometry give another geometry's table with a fresh filling's bits."""
+    formed = fresh(filling)
+    information.outcome_table(formed, GEOM)
+    table = information.outcome_table(formed, WIDE)
+    assert [column.tolist() for column in table] == reference_table(fresh(filling), WIDE)
+
+
+@pytest.mark.parametrize("filling", ROW_FILLINGS, ids=repr)
+def test_writing_into_a_result_changes_no_later_table(filling):
+    """Tables and distributions hand out fresh arrays; the kept columns are read-only."""
+    formed = fresh(filling)
+    expected = [column.tolist() for column in information.outcome_table(fresh(filling), GEOM)]
+    for column in information.outcome_table(formed, GEOM):
+        column[...] = -1
+    dist = information.measurement_distribution(formed)
+    dist.support[...] = -1
+    dist.probabilities[...] = -1
+    assert [column.tolist() for column in information.outcome_table(formed, GEOM)] == expected
+    assert information.measurement_distribution(formed).probabilities.tolist() == expected[1]
+    for column in (formed.light_counts.f, formed.light_columns.rows):
+        with pytest.raises(ValueError):
+            column[...] = 0
+
+
+@pytest.mark.parametrize("filling", ROW_FILLINGS, ids=repr)
+def test_formed_columns_leave_equality_and_hash_alone(filling):
+    formed, bare = fresh(filling), fresh(filling)
+    information.outcome_table(formed, GEOM)
+    assert "light_columns" in vars(formed) and "light_counts" not in vars(bare)
+    assert formed == bare and bare == formed
+    assert hash(formed) == hash(bare)
+    assert len({formed, bare}) == 1
+
+
+def count_builders(filling, monkeypatch):
+    """A fresh copy of ``filling``, whose type now counts its ``ways`` and ``ratios`` calls, and
+    the counts."""
     calls = {"ways": 0, "ratios": 0}
     kind = type(filling)
     for name in calls:
@@ -310,10 +351,48 @@ def test_outcome_table_builds_each_column_once(filling, monkeypatch):
             return builder(self, ms)
 
         monkeypatch.setattr(kind, name, counted)
+    return fresh(filling), calls
+
+
+BUILDER_FILLINGS = [
+    decompose(23, 5), decompose(126, 3), BosonFilling(N=40, s=7), LargeSpinBosons(N=40)
+]
+
+
+@pytest.mark.parametrize("filling", BUILDER_FILLINGS, ids=repr)
+def test_outcome_table_builds_each_column_once(filling, monkeypatch):
+    """One ``ways`` and one ``ratios`` call per filling, however many tables and however long
+    the support."""
+    filling, calls = count_builders(filling, monkeypatch)
     information.outcome_table(filling, GEOM)
-    assert calls == {"ways": 1, "ratios": 1}
+    information.outcome_table(filling, WIDE)
     information.measurement_distribution(filling)
-    assert calls == {"ways": 2, "ratios": 1}
+    assert calls == {"ways": 1, "ratios": 1}
+
+
+@pytest.mark.parametrize("filling", BUILDER_FILLINGS, ids=repr)
+def test_a_distribution_forms_f_alone(filling, monkeypatch):
+    filling, calls = count_builders(filling, monkeypatch)
+    information.measurement_distribution(filling)
+    assert calls == {"ways": 1, "ratios": 0}
+
+
+@pytest.mark.parametrize(
+    "filling", [decompose(23, 5), BosonFilling(N=40, s=7), LargeSpinBosons(N=40)], ids=repr
+)
+def test_a_closed_form_item_makes_one_count_pass(filling, monkeypatch):
+    """The seven calls of one benchmark ``closed_form_scan`` item share one ``ways`` and one
+    ``ratios`` call."""
+    filling, calls = count_builders(filling, monkeypatch)
+    thermal = thermal_at(0.1)
+    dist = information.measurement_distribution(filling)
+    information.work_coefficients(filling, GEOM)
+    information.total_work(filling, GEOM, thermal)
+    information.relative_entropy_work(filling, GEOM, thermal)
+    information.net_work(filling, GEOM, thermal)
+    information.erasure_work(dist, thermal)
+    information.info_work_efficiency(filling, GEOM, thermal)
+    assert calls == {"ways": 1, "ratios": 1}
 
 
 @pytest.mark.parametrize(
