@@ -6,6 +6,8 @@ eta = 1. The runner-up family has a closed-form efficiency depending on a
 single weight alpha; this script evaluates it directly and through the
 general work/erasure route to show they match.
 """
+import math
+
 from spinszilard import information, phase
 from spinszilard.boson import BosonFilling
 from spinszilard.core import BOLTZMANN, SpinStatistics, ThermalPoint, WellGeometry
@@ -14,6 +16,12 @@ from spinszilard.fermion import decompose
 geometry = WellGeometry(length=1e-9, mass=1e-26)
 e0 = geometry.reference_energy
 thermal = ThermalPoint(0.1 * e0 / BOLTZMANN)
+
+
+def second_highest_efficiency(alpha: float) -> float:
+    """The runner-up engines' closed form: eta = 1 / (1 + (1-a) ln(1-a) / (a ln(a/2)))."""
+    return 1.0 / (1.0 + (1.0 - alpha) * math.log(1.0 - alpha) / (alpha * math.log(alpha / 2.0)))
+
 
 print("reversible engines (eta = 1):")
 for label, filling in [
@@ -29,7 +37,7 @@ print("runner-up family, fermion k=2 (alpha = (2u-1)/(4u-1)):")
 for u in (1, 2, 5, 20):
     alpha = (2 * u - 1) / (4 * u - 1)
     direct = information.info_work_efficiency(decompose(2, u), geometry, thermal)
-    closed = information.second_highest_efficiency(alpha)
+    closed = second_highest_efficiency(alpha)
     print(f"  u = {u:2d}: direct {direct:.9f}  closed form {closed:.9f}")
 
 print()
@@ -37,7 +45,7 @@ print("runner-up family, boson N=2 (alpha = (2s+2)/(4s+3)):")
 for s in (0, 1, 5, 20):
     alpha = (2 * s + 2) / (4 * s + 3)
     direct = information.info_work_efficiency(BosonFilling(N=2, s=s), geometry, thermal)
-    closed = information.second_highest_efficiency(alpha)
+    closed = second_highest_efficiency(alpha)
     print(f"  s = {s:2d}: direct {direct:.9f}  closed form {closed:.9f}")
 
 print()

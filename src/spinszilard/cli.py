@@ -201,33 +201,30 @@ def _geometry(args: argparse.Namespace) -> WellGeometry:
     return geometry
 
 
-def _required(args: argparse.Namespace, *dests: str) -> Refusal:
-    """The error for a missing value: one of ``dests``, as far as the subcommand has them."""
-    flags = ["--" + dest.replace("_", "-") for dest in dests if dest in _COMMANDS[args.command][1]]
-    return Refusal(("one of " if len(flags) > 1 else "") + " or ".join(flags) + " is required")
+def _value_or_range(args: argparse.Namespace, dest: str) -> tuple[Any, str | None]:
+    """(--DEST, None) or (None, --DEST-range): exactly one is given, of those the subcommand has."""
+    value, text = getattr(args, dest), getattr(args, dest + "_range")
+    if value is not None and text is not None:
+        raise Refusal(f"give either --{dest} or --{dest}-range, not both")
+    if value is None and text is None:
+        flags = ["--" + key.replace("_", "-") for key in (dest, dest + "_range")
+                 if key in _COMMANDS[args.command][1]]
+        raise Refusal(("one of " if len(flags) > 1 else "") + " or ".join(flags) + " is required")
+    return value, text
 
 
 def _n_values(args: argparse.Namespace) -> list[int]:
-    if args.n is not None and args.n_range is not None:
-        raise Refusal("give either --n or --n-range, not both")
-    if args.n is not None:
-        if args.n < 0:
-            raise Refusal("--n must be >= 0")
-        return [args.n]
-    if args.n_range is not None:
-        return _parse_range(args.n_range, int)
-    raise _required(args, "n", "n_range")
+    n, text = _value_or_range(args, "n")
+    if text is not None:
+        return _parse_range(text, int)
+    if n < 0:
+        raise Refusal("--n must be >= 0")
+    return [n]
 
 
 def _t_values(args: argparse.Namespace) -> list[float]:
-    if args.temp is not None and args.temp_range is not None:
-        raise Refusal("give either --temp or --temp-range, not both")
-    if args.temp is not None:
-        values = [args.temp]
-    elif args.temp_range is not None:
-        values = _parse_range(args.temp_range, float)
-    else:
-        raise _required(args, "temp", "temp_range")
+    temp, text = _value_or_range(args, "temp")
+    values = [temp] if text is None else _parse_range(text, float)
     # below about 1.8e-301 K, k_B T underflows to exactly 0
     if any(t < 0 or (t > 0 and BOLTZMANN * t < sys.float_info.min) for t in values):
         raise Refusal("temperatures must be >= 0, and k_B T a normal float if nonzero")
@@ -426,9 +423,7 @@ def cmd_phase(args: argparse.Namespace) -> int:
     geometry = _geometry(args)
     tokens = [None] if args.two_s is None else args.two_s.split(",")
     spins = [_spin(args.species, token) for token in tokens]
-    if args.n_range is None:
-        raise Refusal("phase requires --n-range")
-    n_values = _parse_range(args.n_range, int)
+    n_values = _n_values(args)
     t_values = [] if args.temp_range is None else _t_values(args)
     if t_values and not args.out:
         raise Refusal("the work grid needs --out (written to OUT.grid.csv)")
@@ -479,16 +474,15 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
     def cells(N: int) -> list[Any]:
         """The cells of N's row, in ``_EFFICIENCY_COLUMNS`` order."""
         table = information.outcome_table(phase.filling(spin, N), geometry)
-        # the runner-up engines have three outcomes: alpha = 1 - f_central = 2 f_edge
-        second = len(table.f) == 3
-        alpha = 2.0 * float(table.f[0])
         w_tot = table.work_coefficients().total_work(thermal)
         w_eras = information.erasure_work(table.distribution, thermal)
+        eta = UNDEFINED if w_eras == 0.0 else _fmt(w_tot / w_eras)
         return [
             spin.kind.value, spin.twice_spin, N, _fmt(thermal.temperature),
-            _fmt(w_tot), _fmt(w_eras), _fmt(table.net_work(thermal)),
-            UNDEFINED if w_eras == 0.0 else _fmt(w_tot / w_eras),
-            _fmt(information.second_highest_efficiency(alpha)) if second else "",
+            _fmt(w_tot), _fmt(w_eras), _fmt(table.net_work(thermal)), eta,
+            # the runner-up engines have three outcomes and absorb no work, so their
+            # closed form in alpha = 2 f_edge is this eta = D / H(f)
+            eta if len(table.f) == 3 else "",
         ]
 
     rows = map(cells, n_values)

@@ -1,4 +1,4 @@
-"""Exact binomial coefficients and bosonic state counts.
+"""Runs of exact binomial coefficients.
 
 Every probability in this package is a ratio of binomial coefficients.
 They are kept as exact integers: ratios are divided at the last step
@@ -16,15 +16,6 @@ fresh comb of a number hundreds of digits long.
 from __future__ import annotations
 
 import math
-
-
-def binomial(a: int, b: int) -> int:
-    """C(a, b) exactly; 0 for b outside [0, a] (the empty-sum convention)."""
-    if a < 0:
-        raise ValueError(f"binomial requires a >= 0, got a={a}")
-    if b < 0 or b > a:
-        return 0
-    return math.comb(a, b)
 
 
 def binomial_row(n: int, b: int, count: int) -> list[int]:
@@ -60,11 +51,3 @@ def binomial_diagonal(a: int, b: int, count: int) -> list[int]:
         run.append(value)
     return run
 
-
-def bose_state_count(degeneracy: int, particles: int) -> int:
-    """Microstates of ``particles`` indistinguishable bosons in ``degeneracy`` modes."""
-    if degeneracy < 1:
-        raise ValueError(f"degeneracy must be >= 1, got {degeneracy}")
-    if particles < 0:
-        raise ValueError(f"particle count must be >= 0, got {particles}")
-    return binomial(degeneracy + particles - 1, particles)

@@ -354,13 +354,3 @@ def info_work_efficiency(
         )
     return table.work_coefficients().total_work(thermal) / w_eras
 
-
-def second_highest_efficiency(alpha: float) -> float:
-    """Efficiency of the runner-up configurations, as a function of one weight.
-
-    alpha = (2u-1)/(4u-1) covers the fermion k = 2 and 4u-2 engines;
-    alpha = (2s+2)/(4s+3) covers the boson N = 2 engine.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return 1.0 / (1.0 + (1.0 - alpha) * math.log(1.0 - alpha) / (alpha * math.log(alpha / 2.0)))

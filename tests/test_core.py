@@ -126,6 +126,22 @@ def test_deterministic_distribution_entropy_is_positive_zero():
     assert dist.entropy() == float(-np.sum(p * np.log(p)))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SpinStatistics.fermion(1).s,
+        lambda: WellGeometry(length=0.0, mass=1e-26),
+        lambda: MeasurementDistribution(support=np.arange(3), probabilities=np.array([0.5, 0.5])),
+        lambda: WorkDecomposition(slope=-1.0, absorbed=0.0),
+        lambda: WorkDecomposition(slope=1.0, absorbed=-1e-24),
+    ],
+    ids=["fermion-s", "zero-length", "unequal-lengths", "negative-slope", "negative-absorbed"],
+)
+def test_value_types_refuse_bad_fields(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_work_decomposition_affine():
     wd = WorkDecomposition(slope=math.log(2), absorbed=1e-24)
     assert wd.total_work(ThermalPoint(0.0)) == -1e-24

@@ -167,6 +167,8 @@ def test_wall_position_mapping():
     r = 0.5 ** (1 / 3)
     # frozen: l = L r/(1+r) for r^3 = 1/2
     assert wall_position(r, GEOM) == pytest.approx(4.4249333402444217e-10, rel=1e-12)
+    with pytest.raises(ValueError):
+        wall_position(-1.0, GEOM)
 
 
 def test_wall_boundary_ratios_and_split_error():

@@ -348,6 +348,46 @@ def test_split_partition_validation():
         oracle.split_partition(2, 0.0, spin, GEOM, thermal_at(0.1))
 
 
+def test_wall_search_validation():
+    spin, thermal = SpinStatistics.fermion(1), thermal_at(0.1)
+    for wall in (0.0, L, 1.5 * L):
+        with pytest.raises(ValueError):
+            oracle.ln_z_derivatives(3, 1, wall, spin, GEOM, thermal)
+    with pytest.raises(ValueError):
+        oracle.exact_equilibria(-1, spin, GEOM, thermal)
+
+
+@pytest.mark.parametrize("force", ["curvature", "step"])
+@pytest.mark.parametrize("spin", [SpinStatistics.fermion(3), SpinStatistics.boson(2)], ids=["f3", "b2"])
+def test_wall_search_bisects_where_newton_cannot(spin, force, monkeypatch):
+    """The first slope of each searched outcome is given a curvature that is not
+    negative, or one so shallow that its Newton step leaves the bracket: the search
+    bisects instead, and still lands on the unforced walls."""
+    N, thermal = 5, thermal_at(0.5)
+    expected = oracle.exact_equilibria(N, spin, GEOM, thermal)
+    derivatives = oracle.ln_z_derivatives
+    forced = []
+
+    def forcing(N, m, pos, *rest):
+        slope, curvature = derivatives(N, m, pos, *rest)
+        if m in forced:
+            return slope, curvature
+        forced.append(m)
+        if force == "curvature":
+            return slope, abs(curvature)
+        curvature *= 1e-12
+        # the bracket lies inside (0, L/2), and this step lands outside it
+        assert not 0.0 < pos - slope / curvature < 0.5 * L
+        return slope, curvature
+
+    monkeypatch.setattr(oracle, "ln_z_derivatives", forcing)
+    walls = oracle.exact_equilibria(N, spin, GEOM, thermal)
+    assert forced == [1, 2]
+    assert len(walls) == len(expected)
+    for wall, unforced in zip(walls, expected):
+        assert abs(wall - unforced) <= 4 * oracle.POSITION_TOLERANCE * L
+
+
 @pytest.mark.parametrize(
     "spin,N,kbt,work,walls",
     [
