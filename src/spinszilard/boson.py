@@ -43,6 +43,11 @@ class BosonFilling(LightHalf):
         """Every boson condenses onto the ground level of its half."""
         return 1
 
+    @property
+    def remainder(self) -> BosonFilling:
+        """No closed shells: every boson N has its own counts."""
+        return self
+
     def ways(self, ms: range) -> list[int]:
         """m bosons in the 2s+1 left and N-m in the 2s+1 right ground-level modes.
 
@@ -75,6 +80,7 @@ class LargeSpinBosons(LightHalf):
 
     support = BosonFilling.support
     level = BosonFilling.level
+    remainder = BosonFilling.remainder
     ratios = BosonFilling.ratios
 
     def ways(self, ms: range) -> list[int]:

@@ -45,6 +45,12 @@ class FermionFilling(LightHalf):
         """The partly filled level, n + 1."""
         return self.n + 1
 
+    @property
+    def remainder(self) -> FermionFilling:
+        """The k remainder particles alone, N = k: the closed shells carry one configuration,
+        so the counts, f and D are this filling's own."""
+        return FermionFilling(N=self.k, u=self.u, n=0, k=self.k)
+
     def ways(self, ms: range) -> list[int]:
         """C(2u, p) C(2u, k-p) for each outcome m, which leaves p = m - 2un on the left.
 

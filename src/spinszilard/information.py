@@ -1,13 +1,16 @@
 """The closed-form observables, one path for both species.
 
 A species' filling type is its support, the partly filled ``level`` whose
-splitting sets f_m*, and two column builders over a range of outcomes:
-``ways(ms)``, the exact configuration counts of the remainder, and
-``ratios(ms)``, the wall ratios l/(L - l), each ``equilibrium.eq_ratio`` of
-the filling's own two half loads. The s -> infinity boson limit
-(``boson.LargeSpinBosons``) is one more filling type. Each filling calls each
-builder once, not once per table: its ``LightHalf`` attributes form the
-lighter half of the support and keep it, ``light_counts`` (the exact counts,
+splitting sets f_m*, its ``remainder`` (the filling with its closed shells
+removed, whose counts, f and D are the filling's own: a fermion's
+k = N mod 4u particles alone; a boson filling is its own), and two column
+builders over a range of outcomes: ``ways(ms)``, the exact configuration
+counts of the remainder, and ``ratios(ms)``, the wall ratios l/(L - l), each
+``equilibrium.eq_ratio`` of the filling's own two half loads. The
+s -> infinity boson limit (``boson.LargeSpinBosons``) is one more filling
+type. Each filling calls each builder once, not once per table: its
+``LightHalf`` attributes form the lighter half of the support and keep it,
+``light_counts`` (the exact counts,
 their total and f) when f is first read and ``light_columns`` (ln f, lw and
 the interior wall ratios) when a table first needs them. ``outcome_table``
 then forms only the geometry's level splittings and mirrors the rest
@@ -25,7 +28,9 @@ f and c mirror and c is 0 at the edge and central outcomes. Only D and W_0 of
 many fillings at once (``work_coefficients_each``, behind ``phase.phase_curve``
 and the boson rows of ``szilard limits``) skip the table and keep no columns,
 since each of their fillings is used once: they come from flat interior
-columns, one pass per bounded chunk of fillings, with the table's bits.
+columns, one pass per bounded chunk of fillings, with the table's bits. That
+pass forms each distinct remainder's counts once per chunk, so along a
+fermion range the counts are formed once per remainder k, not once per N.
 
 Entropies are kept in nats throughout (one bit = ln 2 nats); the erasure
 cost k_B T H(f) is identical either way and nats avoid conversion factors
@@ -66,6 +71,16 @@ class Filling(Protocol):
 
     @property
     def level(self) -> int: ...
+
+    @property
+    def remainder(self) -> Filling:
+        """The filling with its closed shells removed, whose counts, f and D are this one's.
+
+        A fermion's closed shells carry a single configuration, so its remainder is
+        the k = N mod 4u particles alone; a boson filling is its own remainder.
+        The range pass forms each distinct remainder's counts once per chunk.
+        """
+        ...
 
     @property
     def light_counts(self) -> LightCounts: ...
@@ -121,7 +136,7 @@ class LightHalf:
     @cached_property
     def light_counts(self: Filling) -> LightCounts:
         """One ``ways`` call: all that a measurement distribution reads."""
-        ways, total = _light_ways(self)
+        ways, total = _light_ways(self, self.support)
         return LightCounts(tuple(ways), total, _read_only(np.array([w / total for w in ways])))
 
     @cached_property
@@ -185,7 +200,12 @@ class OutcomeTable(NamedTuple):
         return -BOLTZMANN * thermal.temperature * float(self.f[seen] @ gap)
 
     def net_work(self, thermal: ThermalPoint) -> float:
-        """Net cycle work after paying erasure: k_B T sum f_m ln f_m* (always <= 0)."""
+        """Net cycle work after paying erasure: k_B T sum f_m ln f_m*.
+
+        W_net <= 0 holds where every ln f_m* <= 0. The affine ln f_m* = lw_m - beta c_m
+        can exceed 0 once k_B T nears the level splitting, and then W_net > 0:
+        acceptance criterion 06 lists 3,073 such cells of its scan grid.
+        """
         seen = self.f > 0
         log_fstar = self.log_fstar(thermal)[seen]
         return BOLTZMANN * thermal.temperature * float(self.f[seen] @ log_fstar)
@@ -205,14 +225,14 @@ def _slope(central: float, log_edge: float) -> float:
     return float((1.0 - central) * (0.0 - log_edge))
 
 
-def _light_ways(filling: Filling) -> tuple[list[int], int]:
-    """Counts of the lighter half of the support, ascending, and the count of all outcomes.
+def _light_ways(filling: Filling, support: range) -> tuple[list[int], int]:
+    """Counts of the lighter half of ``support``, ascending, and the count of all outcomes.
 
     The counts are mirror-symmetric, so the total is twice the lighter half's,
     less the central outcome's once (Vandermonde's identity, as an exact integer).
     """
-    size = len(filling.support)
-    ways = filling.ways(filling.support[: (size + 1) // 2])
+    size = len(support)
+    ways = filling.ways(support[: (size + 1) // 2])
     total = 2 * sum(ways) - (ways[-1] if size % 2 else 0)
     return ways, total
 
@@ -263,49 +283,66 @@ def work_coefficients_each(
 
     The fillings are taken in chunks of at most ``CHUNK_OUTCOMES`` outcomes (a
     larger support is a chunk of its own), so memory does not grow with their number.
+    Each filling's support is read once, here, and travels with it.
     """
     coefficients: list[WorkDecomposition] = []
-    chunk: list[Filling] = []
+    chunk: list[tuple[Filling, range]] = []
     held = 0
     for filling in fillings:
-        size = len(filling.support)
+        support = filling.support
+        size = len(support)
         if chunk and held + size > CHUNK_OUTCOMES:
             coefficients += _chunk_coefficients(chunk, geometry)
             chunk, held = [], 0
-        chunk.append(filling)
+        chunk.append((filling, support))
         held += size
     if chunk:
         coefficients += _chunk_coefficients(chunk, geometry)
     return coefficients
 
 
-def _chunk_coefficients(chunk: list[Filling], geometry: WellGeometry) -> list[WorkDecomposition]:
-    """One pass over flat interior columns of every filling in ``chunk``.
+def _interior_counts(filling: Filling, support: range) -> tuple[list[float], float]:
+    """f of the interior outcomes (0 < mu < size / 2) and the slope D of a filling."""
+    size = len(support)
+    ways, total = _light_ways(filling, support)
+    central = ways[-1] / total if size % 2 else 0.0
+    slope = _slope(central, math.log(ways[0]) - math.log(total))
+    return [w / total for w in ways[1 : size // 2]], slope
 
-    Each filling adds f and its wall ratios for its interior outcomes
-    (0 < mu < size / 2); the mu and level columns come from each filling's run
-    length, and one ``level_splits`` call forms every splitting. Each W_0 is then
-    twice the dot of f and c over that filling's run, the dot that
-    ``OutcomeTable.work_coefficients`` takes over the same values.
+
+def _chunk_coefficients(
+    chunk: list[tuple[Filling, range]], geometry: WellGeometry
+) -> list[WorkDecomposition]:
+    """One pass over flat interior columns of every (filling, support) in ``chunk``.
+
+    f and D depend only on a filling's remainder, so each distinct remainder's
+    interior f and D are formed once per chunk, from the first filling that has it,
+    in a dict that dies with the pass. Each filling adds them and its wall ratios
+    for its interior outcomes (0 < mu < size / 2); the mu and level columns come
+    from each filling's run length, and one ``level_splits`` call forms every
+    splitting. Each W_0 is then twice the dot of f and c over that filling's run,
+    the dot that ``OutcomeTable.work_coefficients`` takes over the same values.
     """
+    counts: dict[Filling, tuple[list[float], float]] = {}
     f: list[float] = []
     ratios: list[float] = []
     slopes: list[float] = []
     ends: list[int] = []
-    for filling in chunk:
-        support = filling.support
-        size = len(support)
-        half = size // 2
-        ways, total = _light_ways(filling)
-        central = ways[-1] / total if size % 2 else 0.0
-        slopes.append(_slope(central, math.log(ways[0]) - math.log(total)))
-        f += [w / total for w in ways[1:half]]
-        ratios += filling.ratios(support[1:half])
+    for filling, support in chunk:
+        remainder = filling.remainder
+        if remainder is filling:  # no closed shells: no other N has its counts
+            light = _interior_counts(filling, support)
+        elif (light := counts.get(remainder)) is None:
+            light = counts[remainder] = _interior_counts(filling, support)
+        interior, slope = light
+        f += interior
+        slopes.append(slope)
+        ratios += filling.ratios(support[1 : len(support) // 2])
         ends.append(len(f))
     # each filling's run of interior outcomes: its level throughout, mu = 1, 2, ...
     starts = np.array([0] + ends[:-1], dtype=np.int64)
     runs = np.array(ends, dtype=np.int64) - starts
-    levels = np.repeat(np.array([filling.level for filling in chunk], dtype=np.int64), runs)
+    levels = np.repeat(np.array([filling.level for filling, _ in chunk], dtype=np.int64), runs)
     mu = np.arange(1, len(f) + 1, dtype=np.int64) - np.repeat(starts, runs)
     c = mu * level_splits(levels, ratios, geometry)
     f_col = np.array(f)
@@ -338,7 +375,11 @@ def erasure_work(distribution: MeasurementDistribution, thermal: ThermalPoint) -
 
 
 def net_work(filling: Filling, geometry: WellGeometry, thermal: ThermalPoint) -> float:
-    """Net cycle work after paying erasure: k_B T sum f_m ln f_m* (always <= 0)."""
+    """Net cycle work after paying erasure: k_B T sum f_m ln f_m*.
+
+    W_net <= 0 holds where every ln f_m* <= 0; see ``OutcomeTable.net_work`` for
+    where the affine ln f_m* breaks it.
+    """
     return outcome_table(filling, geometry).net_work(thermal)
 
 

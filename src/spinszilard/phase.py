@@ -9,10 +9,13 @@ consumers can tell "no transition" from numeric failure.
 ``phase_curve`` keeps each N's work coefficients D and W_0 as a ``PhasePoint``;
 they come from one chunked pass over the whole N range
 (``information.work_coefficients_each``), with no outcome table, and carry the
-bits of ``information.work_coefficients``. ``work_rows`` reduces those two
-numbers to the work of a block of points at given temperatures, one point per
-row, in one array expression: that block is what the CLI formats into a block
-of (N, T) grid rows. ``extremal_report`` reads every field from one curve.
+bits of ``information.work_coefficients``. f and D depend only on a filling's
+remainder, so along a fermion range the pass counts each remainder
+k = N mod 4u once per chunk and forms only the wall ratios per N.
+``work_rows`` reduces those two numbers to the work of a block of points at
+given temperatures, one point per row, in one array expression: that block is
+what the CLI formats into a block of (N, T) grid rows. ``extremal_report``
+reads every field from one curve.
 """
 from __future__ import annotations
 

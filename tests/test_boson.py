@@ -134,6 +134,12 @@ def test_large_spin_limits_small_n():
         LargeSpinBosons(-1)
 
 
+def test_boson_fillings_are_their_own_remainders():
+    """No closed shells: each boson N keeps its own counts in the range pass."""
+    for filling in (BosonFilling(N=7, s=2), LargeSpinBosons(7)):
+        assert filling.remainder is filling
+
+
 @pytest.mark.parametrize("N", [0, 1, 2, 3, 4, 11, 200, 1021, 1022, 1023, 1500])
 def test_large_spin_ways_are_one_comb_per_outcome(N):
     """The row-stepped counts are C(N, m) exactly, past N = 1021 where 2^N leaves the floats."""

@@ -100,6 +100,32 @@ def test_negative_load_is_refused(ratios):
         ratios()
 
 
+def test_ratios_beyond_float_loads_are_eq_ratio_bit_for_bit():
+    """Loads past 2^53 are divided as exact integers, as ``eq_ratio`` divides them.
+
+    Two periods of N at N = 4e7 u, for u = 2, 5 and 20: 1,560 interior ratios, on
+    loads near 1e22. Dividing the loads as float64 changes some of them, so a
+    float-load shortcut fails here.
+    """
+    shortcut = 0
+    for u in (2, 5, 20):
+        for N in range(4 * 10**7 * u, 4 * 10**7 * u + 8 * u):
+            filling = decompose(N, u)
+            n, k = filling.n, filling.k
+            support = filling.support
+            ms = support[1 : len(support) // 2]
+            # 2u (1 + 4 + ... + n^2) = u n (n + 1) (2n + 1) / 3, in closed form at n = 1e7
+            shells = u * n * (n + 1) * (2 * n + 1) // 3
+            loads = [(shells + p * (n + 1) ** 2, shells + (k - p) * (n + 1) ** 2)
+                     for p in range(ms.start - 2 * u * n, ms.stop - 2 * u * n)]
+            assert min(map(min, loads), default=2**53) >= 2**53
+            expected = [eq_ratio(left, right) for left, right in loads]
+            assert filling.ratios(ms) == expected, N
+            shortcut += sum((float(left) / float(right)) ** (1.0 / 3.0) != ratio
+                            for (left, right), ratio in zip(loads, expected))
+    assert shortcut > 0
+
+
 def test_filling_ratios_are_the_printed_forms():
     """Both fillings' walls carry the bits of the paper's printed ratio forms.
 

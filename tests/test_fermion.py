@@ -180,3 +180,19 @@ def test_filled_shell_slope_is_the_phase_curve_slope():
         points = phase.phase_curve(SpinStatistics.fermion(2 * u - 1), GEOM, range(4 * u))
         for point in points:
             assert fermion.filled_shell_limits(u, point.N, GEOM)[0] == point.coefficients.slope
+
+
+def test_remainder_carries_the_fillings_counts():
+    """The closed shells carry one configuration: the N = k filling has the counts, f
+    and D of every N = 4un + k, and is its own remainder."""
+    for u in (1, 2, 5, 20):
+        for N in [*range(12 * u), 10**6 * u + 3]:
+            filling = decompose(N, u)
+            remainder = filling.remainder
+            assert remainder == FermionFilling(N=filling.k, u=u, n=0, k=filling.k)
+            assert remainder.remainder == remainder
+            assert len(remainder.support) == len(filling.support)
+            assert remainder.light_counts.ways == filling.light_counts.ways
+            assert remainder.light_counts.f.tolist() == filling.light_counts.f.tolist()
+            slope = fermion.work_coefficients(filling, GEOM).slope
+            assert fermion.work_coefficients(remainder, GEOM).slope == slope

@@ -1,3 +1,4 @@
+import collections
 import math
 import tracemalloc
 from fractions import Fraction
@@ -125,7 +126,8 @@ def test_phase_point_reads_its_coefficients():
 
 
 #: (spin, N values): fermion and boson ranges that span many chunks, one support
-#: larger than a chunk, and N lists out of order and with repeats
+#: larger than a chunk, N lists out of order and with repeats, a fermion list whose
+#: remainders recur out of order across chunk boundaries, and loads past 2^53
 CURVE_CASES = (
     [(SpinStatistics.fermion(t), range(0, 600)) for t in (1, 3, 9, 39, 41)]
     + [(SpinStatistics.boson(t), range(0, 400)) for t in (0, 2, 40)]
@@ -133,6 +135,8 @@ CURVE_CASES = (
         (SpinStatistics.fermion(9), [40, 3, 3, 0, 599, 17, 2, 3, 20, 20]),
         (SpinStatistics.boson(2), [399, 0, 5, 5, 1, 300, 2, 1]),
         (SpinStatistics.boson(0), [4100, 1, 4100, 3, 0]),
+        (SpinStatistics.fermion(39), [*range(2400, 0, -3), 41, 121, 41, 2399]),
+        (SpinStatistics.fermion(3), range(80_000_000, 80_000_016)),
     ]
 )
 
@@ -205,6 +209,33 @@ def test_phase_curve_splits_once_per_chunk_and_reads_interior_ratios(
     assert calls["chunks"] >= 3
     assert calls["splits"] == calls["chunks"]
     assert calls["ratios"] == len(n_values)
+
+
+def test_phase_curve_counts_each_remainder_once_per_chunk(monkeypatch):
+    """The range pass calls ``ways`` once per distinct remainder in each chunk.
+
+    Fermion 2s=3 over N 0..5,999 spans several chunks, each holding every remainder
+    k < 8 many times; the dict dies with its chunk, so each chunk counts afresh.
+    """
+    chunks: list[list] = []
+    calls: list[collections.Counter] = []
+    chunk_coefficients, ways = information._chunk_coefficients, FermionFilling.ways
+
+    def recorded_chunk(chunk, geometry):
+        chunks.append([filling for filling, _ in chunk])
+        calls.append(collections.Counter())
+        return chunk_coefficients(chunk, geometry)
+
+    def counted_ways(filling, ms):
+        calls[-1][filling.remainder] += 1
+        return ways(filling, ms)
+
+    monkeypatch.setattr(information, "_chunk_coefficients", recorded_chunk)
+    monkeypatch.setattr(FermionFilling, "ways", counted_ways)
+    points = phase.phase_curve(SpinStatistics.fermion(3), GEOM, range(6000))
+    assert len(points) == 6000 and len(chunks) >= 3
+    for chunk, counted in zip(chunks, calls):
+        assert counted == {filling.remainder: 1 for filling in chunk}
 
 
 def test_phase_curve_memory_does_not_grow_with_the_range():
