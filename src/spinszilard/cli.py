@@ -44,6 +44,7 @@ from .core import (
     SpinStatistics,
     ThermalPoint,
     WellGeometry,
+    WorkDecomposition,
 )
 from .equilibrium import wall_position
 
@@ -294,19 +295,19 @@ def _emit(args: argparse.Namespace, header: Iterable[str], lines: Iterable[str],
 
 
 def _grid_lines(
-    rows: Iterable[tuple[str, str, phase.PhasePoint]], t_values: list[float],
+    rows: Iterable[tuple[str, str, WorkDecomposition]], t_values: list[float],
     cells: Callable[[str, bool], str],
     columns: Callable[[np.ndarray, np.ndarray], list[np.ndarray]],
 ) -> Iterator[str]:
     """The CSV rows of each point at each temperature, at most ``ROWS_PER_WRITE`` per line.
 
-    ``rows`` gives each point with the text before and after its per-temperature
-    cells, read a block at a time. ``cells(T text, T > 0)`` is the %-template of
-    those cells, and ``columns(T, W)`` the arrays of the values it reads, in
-    order, each shaped like the block's work ``W`` (points, temperatures). While
-    every temperature fits in one line, a line holds whole points and each T is
-    formatted once per call; otherwise it holds one point's window of
-    temperatures, and T is the template's first value.
+    ``rows`` gives each point's work coefficients with the text before and after
+    its per-temperature cells, read a block at a time. ``cells(T text, T > 0)``
+    is the %-template of those cells, and ``columns(T, W)`` the arrays of the
+    values it reads, in order, each shaped like the block's work ``W`` (points,
+    temperatures). While every temperature fits in one line, a line holds whole
+    points and each T is formatted once per call; otherwise it holds one
+    point's window of temperatures, and T is the template's first value.
     """
     t_arr = np.array(t_values)
     window = min(len(t_values), ROWS_PER_WRITE)
@@ -317,7 +318,7 @@ def _grid_lines(
     while block := list(itertools.islice(rows, ROWS_PER_WRITE // window)):
         for lo in range(0, len(t_values), window):
             temps = t_arr[lo:lo + window]
-            work = phase.work_rows([point for _, _, point in block], temps)
+            work = phase.work_rows([coeffs for _, _, coeffs in block], temps)
             values = columns(temps, work)
             if not whole:
                 middles = ([spec[True]] * len(temps) if temps.min() > 0
@@ -353,23 +354,23 @@ def cmd_work(args: argparse.Namespace) -> int:
     t_values = _t_values(args)
     e0 = geometry.reference_energy
     fermion_fill = spin.kind is ParticleKind.FERMION
-    points = phase.phase_curve(spin, geometry, n_values)
-    # the undefined cells: Wtot_per_kBT at T = 0 and Tc_kelvin where a point has no T_c
+    curve = phase.phase_curve(spin, geometry, n_values)
+    # the undefined cells: Wtot_per_kBT at T = 0 and Tc_kelvin where an N has no T_c
     _strict(args, itertools.chain(
         (T <= 0 for T in t_values),
-        (point.coefficients.critical_temperature is None for point in points),
+        (coeffs.critical_temperature is None for coeffs in curve),
     ))
 
-    def row(point: phase.PhasePoint) -> tuple[str, str, phase.PhasePoint]:
+    def row(N: int, coeffs: WorkDecomposition) -> tuple[str, str, WorkDecomposition]:
         """The cells that depend on N alone, before and after each temperature's cells."""
-        coeffs = point.coefficients
-        filling = phase.filling(spin, point.N)
+        # a boson row's n and k cells are empty: only a fermion's filling is read
+        filling = phase.filling(spin, N) if fermion_fill else None
         tc = coeffs.critical_temperature
         return _line([
-            spin.kind.value, spin.twice_spin, point.N,
+            spin.kind.value, spin.twice_spin, N,
             filling.n if fermion_fill else None, filling.k if fermion_fill else None,
             coeffs.slope, coeffs.absorbed, coeffs.absorbed / e0,
-        ]) + ",", "," + (UNDEFINED if tc is None else _fmt(tc)), point
+        ]) + ",", "," + (UNDEFINED if tc is None else _fmt(tc)), coeffs
 
     def cells(t_text: str, positive: bool) -> str:
         # "%.0s" reads the W / k_B T of T = 0 and prints nothing in its place
@@ -379,13 +380,12 @@ def cmd_work(args: argparse.Namespace) -> int:
         with np.errstate(all="ignore"):
             return [work, work / (BOLTZMANN * temps)]
 
-    lines: Iterable[str] = _grid_lines(map(row, points), t_values, cells, columns)
+    lines: Iterable[str] = _grid_lines(map(row, n_values, curve), t_values, cells, columns)
     document = None
-    if len(points) * len(t_values) == 1:
+    if len(n_values) * len(t_values) == 1:
         lines = [*lines]
-        (point,) = points
         # the one row's cells after N are the document's strings
-        document = dict(zip(_WORK_COLUMNS, [spin.kind.value, spin.twice_spin, point.N]
+        document = dict(zip(_WORK_COLUMNS, [spin.kind.value, spin.twice_spin, *n_values]
                             + lines[0].split(",")[3:]))
     _emit(args, _WORK_COLUMNS, lines, document)
     return EXIT_OK
@@ -430,15 +430,15 @@ def cmd_phase(args: argparse.Namespace) -> int:
     lead = ["two_s"] if len(spins) > 1 else []
     # one curve per spin serves both the T_c table and the work grid, whose rows open alike
     curves = [(spin, phase.phase_curve(spin, geometry, n_values)) for spin in spins]
-    _strict(args, (point.coefficients.critical_temperature is None
-                   for _, points in curves for point in points))
-    rows = [(f"{spin.twice_spin}," * len(lead) + f"{point.N},", "", point)
-            for spin, points in curves for point in points]
+    _strict(args, (coeffs.critical_temperature is None
+                   for _, curve in curves for coeffs in curve))
+    rows = [(f"{spin.twice_spin}," * len(lead) + f"{N},", "", coeffs)
+            for spin, curve in curves for N, coeffs in zip(n_values, curve)]
 
     def table_lines() -> Iterator[str]:
         for start in range(0, len(rows), ROWS_PER_WRITE):
-            tcs = [(head, point.coefficients.critical_temperature)
-                   for head, _, point in rows[start:start + ROWS_PER_WRITE]]
+            tcs = [(head, coeffs.critical_temperature)
+                   for head, _, coeffs in rows[start:start + ROWS_PER_WRITE]]
             # "%.0s" reads an undefined T_c and prints nothing in its place
             template = "\n".join(head + ("%.8e,true" if tc is not None else
                                          f"%.0s{UNDEFINED},false") for head, tc in tcs)

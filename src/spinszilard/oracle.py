@@ -261,7 +261,6 @@ class OracleCycle:
     ``equilibria`` holds each outcome m's equilibrium wall position [m], m = 0..N.
     """
 
-    N: int
     distribution: MeasurementDistribution
     equilibria: tuple[float, ...]
     post_expansion: np.ndarray
@@ -298,7 +297,6 @@ def ensemble_cycle(
             acc += f * (math.log(f) - log_fstar[m])
     work = -BOLTZMANN * thermal.temperature * acc
     return OracleCycle(
-        N=N,
         distribution=dist,
         equilibria=equilibria,
         post_expansion=np.exp(log_fstar),

@@ -419,7 +419,8 @@ def test_criterion_12_critical_temperature_spots():
     spot_ok = abs(tc_f - 0.263326) < 1e-3 and abs(tc_b - 0.270829) < 1e-3
 
     temps = np.linspace(0.0, 0.6, 121)
-    signs = np.sign(phase.phase_curve(SpinStatistics.fermion(9), GEOM, [3])[0].work(temps))
+    curve = phase.phase_curve(SpinStatistics.fermion(9), GEOM, [3])
+    signs = np.sign(phase.work_rows(curve, temps)[0])
     flips = np.nonzero(np.diff(signs) > 0)[0]
     flip_ok = len(flips) == 1 and temps[flips[0]] <= tc_f <= temps[flips[0] + 1]
 

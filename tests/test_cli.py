@@ -110,11 +110,11 @@ def test_work_strict_refusal_writes_nothing(argv, tmp_path, monkeypatch, capsys)
 def test_work_rows_are_written_as_they_are_formed(command, monkeypatch):
     """The first CSV line reaches the output before the last N's row is formed."""
     formed = []
-    filling = cli.phase.filling
+    line = cli._line
 
-    def counted(spin, N):
-        formed.append(N)
-        return filling(spin, N)
+    def counted(cells):
+        formed.append(cells)
+        return line(cells)
 
     class Sink(list):
         def write(self, text):
@@ -124,11 +124,11 @@ def test_work_rows_are_written_as_they_are_formed(command, monkeypatch):
             pass
 
     sink = Sink()
-    monkeypatch.setattr(cli.phase, "filling", counted)
+    monkeypatch.setattr(cli, "_line", counted)
     monkeypatch.setattr(cli.sys, "stdout", sink)
     argv = [command, "--species", "boson", "--two-s", "2", "--n-range", "1:40", "--temp", "0.1"]
     assert run(argv) == 0
-    assert len(formed) >= 40  # work: phase_curve's fillings, then one more per N as its rows form
+    assert len(formed) >= 40  # the cells of each N, joined as its rows form
     assert sink[0][0] < len(formed)
     assert "".join(text for _, text in sink).count("\n") == 41
 
@@ -440,12 +440,12 @@ def _reference_phase(spins, n_values, t_values):
     table, grid = [lead + "N,T_c_kelvin,defined"], [lead + "N,T,W_tot_joule,sign"]
     for spin in spins:
         spin_cell = f"{spin.twice_spin}," if lead else ""
-        for point in phase.phase_curve(spin, GEOM, n_values):
-            tc = point.coefficients.critical_temperature
-            table.append(f"{spin_cell}{point.N}," + ("undefined,false" if tc is None
-                                                     else f"{tc:.8e},true"))
-            for T, w in zip(t_values, point.work(np.array(t_values)).tolist()):
-                grid.append(f"{spin_cell}{point.N},{T:.8e},{w:.8e},{(w > 0) - (w < 0)}")
+        for N, coeffs in zip(n_values, phase.phase_curve(spin, GEOM, n_values)):
+            tc = coeffs.critical_temperature
+            table.append(f"{spin_cell}{N}," + ("undefined,false" if tc is None
+                                               else f"{tc:.8e},true"))
+            for T, w in zip(t_values, phase.work_rows([coeffs], np.array(t_values))[0].tolist()):
+                grid.append(f"{spin_cell}{N},{T:.8e},{w:.8e},{(w > 0) - (w < 0)}")
     return ["\n".join(lines) + "\n" for lines in (table, grid)]
 
 
@@ -453,14 +453,14 @@ def _reference_work(spin, n_values, t_values):
     """``work``'s CSV, formed one f-string per (N, T) row."""
     e0 = GEOM.reference_energy
     lines = [",".join(cli._WORK_COLUMNS)]
-    for point in phase.phase_curve(spin, GEOM, n_values):
-        coeffs, filling = point.coefficients, phase.filling(spin, point.N)
+    for N, coeffs in zip(n_values, phase.phase_curve(spin, GEOM, n_values)):
+        filling = phase.filling(spin, N)
         n, k = (filling.n, filling.k) if spin.kind is ParticleKind.FERMION else ("", "")
-        head = (f"{spin.kind.value},{spin.twice_spin},{point.N},{n},{k},{coeffs.slope:.8e},"
+        head = (f"{spin.kind.value},{spin.twice_spin},{N},{n},{k},{coeffs.slope:.8e},"
                 f"{coeffs.absorbed:.8e},{coeffs.absorbed / e0:.8e}")
         tc = coeffs.critical_temperature
         tc = "undefined" if tc is None else f"{tc:.8e}"
-        for T, w in zip(t_values, point.work(np.array(t_values)).tolist()):
+        for T, w in zip(t_values, phase.work_rows([coeffs], np.array(t_values))[0].tolist()):
             per_kbt = f"{w / (BOLTZMANN * T):.8e}" if T > 0 else "undefined"
             lines.append(f"{head},{T:.8e},{w:.8e},{per_kbt},{tc}")
     return "\n".join(lines) + "\n"

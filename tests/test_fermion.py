@@ -177,9 +177,9 @@ def test_average_limit_domain():
 def test_filled_shell_slope_is_the_phase_curve_slope():
     """D_F of each remainder k carries the bits of the chunked phase-curve pass."""
     for u in (1, 2, 5, 21):
-        points = phase.phase_curve(SpinStatistics.fermion(2 * u - 1), GEOM, range(4 * u))
-        for point in points:
-            assert fermion.filled_shell_limits(u, point.N, GEOM)[0] == point.coefficients.slope
+        curve = phase.phase_curve(SpinStatistics.fermion(2 * u - 1), GEOM, range(4 * u))
+        for k, coeffs in enumerate(curve):
+            assert fermion.filled_shell_limits(u, k, GEOM)[0] == coeffs.slope
 
 
 def test_remainder_carries_the_fillings_counts():

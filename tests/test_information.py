@@ -10,7 +10,6 @@ from spinszilard.boson import BosonFilling, LargeSpinBosons
 from spinszilard.core import (
     BOLTZMANN,
     MeasurementDistribution,
-    ParticleKind,
     SpinStatistics,
     ThermalPoint,
     WellGeometry,
@@ -144,7 +143,6 @@ def test_second_highest_matches_direct_boson():
 
 def test_extremal_report_fermion():
     report = phase.extremal_report(SpinStatistics.fermion(9), GEOM)
-    assert report.species is ParticleKind.FERMION
     assert report.zero_absorption == (0, 1, 2, 18, 19)
     assert report.max_work_configs == (1, 19)
     assert report.max_work_per_kbt == pytest.approx(math.log(2))

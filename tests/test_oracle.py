@@ -12,6 +12,7 @@ from spinszilard import boson, fermion, oracle
 from spinszilard.boson import BosonFilling
 from spinszilard.core import (
     BOLTZMANN,
+    HBAR,
     ParticleKind,
     SpinStatistics,
     ThermalPoint,
@@ -128,6 +129,84 @@ def test_split_partition_hot_single_fermion_matches_theta_sum():
     expected = math.log(2.0) + math.log(0.5 * (math.sqrt(math.pi / a) - 1.0))
     value = oracle.split_partition(1, 0.5 * L, SpinStatistics.fermion(1), GEOM, thermal)[1]
     assert value == pytest.approx(expected, rel=1e-13)
+
+
+#: ln Z of the box DP against the boson recursion: |difference| <= this * max(1, |ln Z|).
+#: The worst seen over the grid below is 1.5e-13, where ln Z_c passes near 0 between
+#: terms of some hundreds; a 40-digit run of the recursion puts the DP itself within 3.5e-14.
+RECURSION_RTOL = 1e-12
+
+
+def ideal_boson_log_z(count, width, degeneracy, thermal):
+    """ln Z_c, c = 0..count, of ideal bosons in a box, by the canonical recursion.
+
+    Z_c = (1/c) sum_{k=1..c} Z_1(k beta) Z_{c-k}, in logs, where
+    Z_1(beta) = g sum_n exp(-beta n^2 eps) is one particle's level sum. It shares
+    no code with the oracle's DP: no occupancy weights, no level loop over
+    counts, and its own level energy eps = pi^2 hbar^2 / (2 M width^2) and stop
+    rule. Every term is positive, so it holds at any temperature.
+
+    Fermions have the same recursion with alternating signs, and those cancel:
+    at g in {2, 4} and k_BT <= 10 E0, 15 to 36 of 41 counts come out
+    non-positive and survivors are off by up to 1e2 in ln Z, and even g = 40 is
+    off by 4e-2 at 0.1 E0. So the fermion DP stays checked by enumeration
+    (``test_box_partition_matches_enumeration``).
+    """
+    eps = math.pi**2 * HBAR**2 / (2.0 * GEOM.mass * width**2)
+    a = thermal.beta * eps
+    # the slowest sum, k = 1: stop at level n once its tail, sum over n' > n of
+    # exp(-a n'^2) <= exp(-a (n+1)^2) / (1 - exp(-a (2n+3))), is below e^-45 of the sum;
+    # a larger k only shrinks that bound
+    n, log_sum = 0, -math.inf
+    while True:
+        n += 1
+        log_sum = np.logaddexp(log_sum, -a * n * n)
+        log_tail = -a * (n + 1) ** 2 - math.log(-math.expm1(-a * (2 * n + 3)))
+        if log_tail < log_sum - 45.0:
+            break
+    squares = np.arange(1, n + 1) ** 2
+    k = np.arange(1, count + 1)[:, None]
+    log_z1 = math.log(degeneracy) + np.logaddexp.reduce(-(thermal.beta * k) * eps * squares, axis=1)
+    log_z = np.zeros(count + 1)
+    for c in range(1, count + 1):
+        log_z[c] = np.logaddexp.reduce(log_z1[:c] + log_z[c - 1::-1]) - math.log(c)
+    return log_z
+
+
+RECURSION_KBT = (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
+
+
+@pytest.mark.parametrize("N", [40, 200, 500])
+@pytest.mark.parametrize("degeneracy", [1, 3, 41])
+def test_box_partition_matches_the_boson_recursion(degeneracy, N):
+    """Every ln Z_c of one DP pass, out to N = 500 and k_BT = 1000 E0, at L/2 and 0.37 L.
+
+    g = 1 alone could not see a lost ln w_a term, since C(a, a) = 1; g = 3 and 41 can.
+    """
+    for kbt in RECURSION_KBT:
+        thermal = thermal_at(kbt)
+        for width in (0.5 * L, 0.37 * L):
+            spectrum = oracle.BoxSpectrum(width, degeneracy, ParticleKind.BOSON, GEOM)
+            dp = oracle.box_partition(N, spectrum, thermal)
+            expected = ideal_boson_log_z(N, width, degeneracy, thermal)
+            scale = np.maximum(1.0, np.abs(expected))
+            assert (np.abs(dp - expected) <= RECURSION_RTOL * scale).all(), (kbt, width)
+
+
+@pytest.mark.parametrize("N", [40, 200])
+@pytest.mark.parametrize("degeneracy", [1, 3, 41])
+def test_exact_distribution_matches_the_boson_recursion(degeneracy, N):
+    """f_m at L/2, whose two boxes are one recursion: ln Z_m = ln Z_m + ln Z_{N-m}."""
+    spin = SpinStatistics.boson(degeneracy - 1)
+    for kbt in RECURSION_KBT:
+        thermal = thermal_at(kbt)
+        log_zm = ideal_boson_log_z(N, 0.5 * L, degeneracy, thermal)
+        log_zm = log_zm + log_zm[::-1]
+        expected = log_zm - np.logaddexp.reduce(log_zm)
+        dist = oracle.exact_distribution(N, 0.5 * L, spin, GEOM, thermal)
+        assert dist.support.tolist() == list(range(N + 1))
+        scale = max(1.0, np.abs(log_zm).max())
+        assert np.abs(np.log(dist.probabilities) - expected).max() <= RECURSION_RTOL * scale, kbt
 
 
 def test_spectrum_validation():

@@ -42,11 +42,11 @@ def test_critical_temperature_undefined_for_zero_slope():
 
 def test_phase_curve_markers():
     spin = SpinStatistics.fermion(9)  # u = 5
-    points = phase.phase_curve(spin, GEOM, range(1, 41))
-    by_n = {p.N: p for p in points}
-    assert by_n[20].coefficients.critical_temperature is None
-    assert by_n[40].coefficients.critical_temperature is None
-    assert by_n[3].coefficients.critical_temperature == pytest.approx(0.2634385021895925, rel=1e-12)
+    n_values = range(1, 41)
+    by_n = dict(zip(n_values, phase.phase_curve(spin, GEOM, n_values)))
+    assert by_n[20].critical_temperature is None
+    assert by_n[40].critical_temperature is None
+    assert by_n[3].critical_temperature == pytest.approx(0.2634385021895925, rel=1e-12)
     with pytest.raises(ValueError):
         phase.phase_curve(spin, GEOM, [])
 
@@ -61,8 +61,7 @@ def test_phase_curve_boson_monotone_in_spin():
     for N in (3, 4, 5, 6, 10):
         previous = None
         for s in range(1, 8):
-            point = phase.phase_curve(SpinStatistics.boson(2 * s), GEOM, [N])[0]
-            tc = point.coefficients.critical_temperature
+            tc = phase.phase_curve(SpinStatistics.boson(2 * s), GEOM, [N])[0].critical_temperature
             assert tc is not None
             if previous is not None:
                 assert tc < previous
@@ -70,55 +69,53 @@ def test_phase_curve_boson_monotone_in_spin():
     for N in (5, 6, 10):
         spinless = phase.phase_curve(SpinStatistics.boson(0), GEOM, [N])[0]
         spin_one = phase.phase_curve(SpinStatistics.boson(2), GEOM, [N])[0]
-        assert (
-            spin_one.coefficients.critical_temperature
-            < spinless.coefficients.critical_temperature
-        )
+        assert spin_one.critical_temperature < spinless.critical_temperature
 
 
-def test_phase_point_work_values():
+def test_work_rows_values():
     spin = SpinStatistics.fermion(1)
     temps = np.array([0.0, 0.5, 1.0])
-    works = [point.work(temps) for point in phase.phase_curve(spin, GEOM, [1, 2, 3])]
+    works = phase.work_rows(phase.phase_curve(spin, GEOM, [1, 2, 3]), temps)
     # spin-1/2: W_0F = 0, so work is slope * kT everywhere
     coeffs = fermion.work_coefficients(decompose(2, 1), GEOM)
     assert works[1][2] == pytest.approx(coeffs.slope * BOLTZMANN * 1.0, rel=1e-12)
     assert all(work.shape == (3,) and work[0] == 0.0 for work in works)
 
 
-def test_phase_point_work_sign_flip_brackets_tc():
+def test_work_rows_sign_flip_brackets_tc():
     spin = SpinStatistics.fermion(9)
     tc = 0.2634385021895925
     temps = np.linspace(0.0, 0.6, 61)
-    signs = np.sign(phase.phase_curve(spin, GEOM, [3])[0].work(temps))
+    signs = np.sign(phase.work_rows(phase.phase_curve(spin, GEOM, [3]), temps)[0])
     flips = np.nonzero(np.diff(signs) > 0)[0]
     assert len(flips) == 1
     assert temps[flips[0]] <= tc <= temps[flips[0] + 1]
 
 
-def test_phase_point_work_rejects_negative_temperature():
-    (point,) = phase.phase_curve(SpinStatistics.fermion(1), GEOM, [1])
+def test_work_rows_rejects_negative_temperature():
+    curve = phase.phase_curve(SpinStatistics.fermion(1), GEOM, [1])
     with pytest.raises(ValueError):
-        point.work(np.array([0.5, -1.0]))
+        phase.work_rows(curve, np.array([0.5, -1.0]))
 
 
 @pytest.mark.parametrize("spin", [SpinStatistics.fermion(9), SpinStatistics.boson(2)], ids=["f9", "b2"])
-def test_phase_point_work_is_total_work_bit_for_bit(spin):
-    """Each point's work, alone and as a row of the whole curve's block, has total_work's bits."""
+def test_work_rows_is_total_work_bit_for_bit(spin):
+    """Each N's work, alone and as a row of the whole curve's block, has total_work's bits."""
     temps = np.linspace(0.0, 1.0, 21)
-    points = phase.phase_curve(spin, GEOM, range(0, 45))
-    for point, block_row in zip(points, phase.work_rows(points, temps).tolist()):
-        expected = [point.coefficients.total_work(ThermalPoint(T)).hex() for T in temps.tolist()]
-        assert [w.hex() for w in point.work(temps).tolist()] == expected
+    curve = phase.phase_curve(spin, GEOM, range(0, 45))
+    for coeffs, block_row in zip(curve, phase.work_rows(curve, temps).tolist()):
+        expected = [coeffs.total_work(ThermalPoint(T)).hex() for T in temps.tolist()]
+        assert [w.hex() for w in phase.work_rows([coeffs], temps)[0].tolist()] == expected
         assert [w.hex() for w in block_row] == expected
 
 
-def test_phase_point_reads_its_coefficients():
+def test_phase_curve_holds_the_work_coefficients():
     spin = SpinStatistics.fermion(9)
-    for point in phase.phase_curve(spin, GEOM, range(0, 45)):
-        coeffs = fermion.work_coefficients(decompose(point.N, 5), GEOM)
-        assert point.coefficients == coeffs
-        tc = point.coefficients.critical_temperature
+    n_values = range(0, 45)
+    for N, got in zip(n_values, phase.phase_curve(spin, GEOM, n_values)):
+        coeffs = fermion.work_coefficients(decompose(N, 5), GEOM)
+        assert got == coeffs
+        tc = got.critical_temperature
         if coeffs.slope > 0:
             assert tc == coeffs.absorbed / (coeffs.slope * BOLTZMANN)
         else:
@@ -145,12 +142,12 @@ CURVE_CASES = (
     "geometry", [GEOM, WellGeometry(length=3.7e-8, mass=6.6e-27)], ids=["nm", "wide"]
 )
 def test_phase_curve_is_work_coefficients_bit_for_bit(geometry):
-    """Each point's D and W_0 carry the bits of its own outcome table's coefficients."""
+    """Each N's D and W_0, in order, carry the bits of its own outcome table's coefficients."""
     crossed = 0
     for spin, n_values in CURVE_CASES:
-        points = phase.phase_curve(spin, geometry, n_values)
-        assert [point.N for point in points] == list(n_values)
-        got = [(p.coefficients.slope.hex(), p.coefficients.absorbed.hex()) for p in points]
+        curve = phase.phase_curve(spin, geometry, n_values)
+        assert type(curve) is list and len(curve) == len(n_values)
+        got = [(coeffs.slope.hex(), coeffs.absorbed.hex()) for coeffs in curve]
         expected = []
         for N in n_values:
             coeffs = information.work_coefficients(phase.filling(spin, N), geometry)
@@ -165,11 +162,11 @@ def test_absorbed_work_is_within_four_ulp_of_the_exact_sum():
     """W_0 of both paths lies within 4 ulp of the exactly rounded sum f_m c_m of the table."""
     for spin, n_values in CURVE_CASES:
         n_values = list(n_values)[::7]
-        points = phase.phase_curve(spin, GEOM, n_values)
-        for N, point in zip(n_values, points):
+        curve = phase.phase_curve(spin, GEOM, n_values)
+        for N, coeffs in zip(n_values, curve):
             table = information.outcome_table(phase.filling(spin, N), GEOM)
             exact = float(sum(Fraction(f) * Fraction(c) for f, c in zip(table.f, table.c)))
-            for got in (point.coefficients.absorbed, table.work_coefficients().absorbed):
+            for got in (coeffs.absorbed, table.work_coefficients().absorbed):
                 assert abs(got - exact) <= 4 * math.ulp(exact), (spin, N, got, exact)
 
 
@@ -232,8 +229,8 @@ def test_phase_curve_counts_each_remainder_once_per_chunk(monkeypatch):
 
     monkeypatch.setattr(information, "_chunk_coefficients", recorded_chunk)
     monkeypatch.setattr(FermionFilling, "ways", counted_ways)
-    points = phase.phase_curve(SpinStatistics.fermion(3), GEOM, range(6000))
-    assert len(points) == 6000 and len(chunks) >= 3
+    curve = phase.phase_curve(SpinStatistics.fermion(3), GEOM, range(6000))
+    assert len(curve) == 6000 and len(chunks) >= 3
     for chunk, counted in zip(chunks, calls):
         assert counted == {filling.remainder: 1 for filling in chunk}
 
