@@ -24,4 +24,4 @@ __all__ = [
     "level_energy",
 ]
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"

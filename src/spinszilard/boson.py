@@ -2,18 +2,29 @@
 
 All N bosons condense onto the first level of their half of the well, so
 the measurement outcome m ranges over the full [0, N] and the statistical
-weights count (2s+1)-fold degenerate bosonic occupations. A half's wall load
-is its particle count. As s -> infinity the counts become C(N, m) (``LargeSpinBosons``).
+weights count (2s+1)-fold degenerate bosonic occupations:
+C(m + 2s, m) C(N - m + 2s, N - m) configurations leave m on the left. A half's
+wall load is its particle count. ``Bosons`` is one spin: each N's outcomes
+m = 0..N on level 1, and the counts, each a product of two elements of one run
+down the diagonal C(j + 2s, j). ``BosonFilling`` is one N, with its outcome
+table's columns; its counts are its ``Bosons``' ``light_ways``, the same
+function, over one N's outcomes where a range pass takes a chunk's. As
+s -> infinity the counts become C(N, m) (``LargeSpinLimit`` for the species,
+``LargeSpinBosons`` for one N), which do not factor: that species forms one
+row run per N.
 """
 from __future__ import annotations
 
-import operator
+import functools
 from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import binomial_diagonal, binomial_row
-from .equilibrium import eq_ratio
 from .information import (  # noqa: F401  (re-exported species-agnostic path)
     LightHalf,
+    Outcomes,
+    factored_ways,
+    load_ranges,
     measurement_distribution,
     relative_entropy_work,
     total_work,
@@ -22,11 +33,38 @@ from .information import (  # noqa: F401  (re-exported species-agnostic path)
 
 
 @dataclass(frozen=True)
+class Bosons:
+    """Spin-s bosons: each N's filling, and the range pass's ``Species``."""
+
+    s: int
+
+    def __post_init__(self) -> None:
+        if self.s < 0:
+            raise ValueError(f"s must be >= 0, got {self.s}")
+
+    def filling(self, N: int) -> BosonFilling:
+        return BosonFilling(N=N, s=self.s)
+
+    def outcomes(self, N: int) -> Outcomes:
+        """Every count m = 0..N on the ground level, whose loads are the counts."""
+        if N < 0:
+            raise ValueError(f"N must be >= 0, got {N}")
+        return (range(N + 1), 1, 0, 1)
+
+    def light_ways(self, counted: Sequence[range]) -> Iterable[list[int]]:
+        """C(m + 2s, m) C(N - m + 2s, N - m) of each range m = 0..N, from one diagonal run."""
+        return factored_ways(counted, functools.partial(binomial_diagonal, 2 * self.s, 0))
+
+
+@dataclass(frozen=True)
 class BosonFilling(LightHalf):
     """N spin-s bosons (integer s) on the ground level of each half."""
 
     N: int
     s: int
+
+    #: the spin's one count formula: it reads only s
+    light_ways = Bosons.light_ways
 
     def __post_init__(self) -> None:
         if self.N < 0:
@@ -38,31 +76,29 @@ class BosonFilling(LightHalf):
     def support(self) -> range:
         return range(0, self.N + 1)
 
+    #: every boson is counted, and an outcome is the count on the left
+    counted = support
+
     @property
     def level(self) -> int:
         """Every boson condenses onto the ground level of its half."""
         return 1
 
-    @property
-    def remainder(self) -> BosonFilling:
-        """No closed shells: every boson N has its own counts."""
-        return self
+    def loads(self, ms: range) -> tuple[range, range]:
+        """The loads m and N - m of the halves at each outcome m: the loads are the counts."""
+        return load_ranges(0, 1, ms.start, self.N - ms.start, len(ms))
 
-    def ways(self, ms: range) -> list[int]:
-        """m bosons in the 2s+1 left and N-m in the 2s+1 right ground-level modes.
 
-        C(m+2s, m) descends a diagonal as m rises, and C(N-m+2s, N-m) as m falls,
-        so the right factor is that run read in reverse.
-        """
-        s2 = 2 * self.s
-        fewest = self.N - ms.start - len(ms) + 1  # bosons on the right at the last m
-        left = binomial_diagonal(ms.start + s2, ms.start, len(ms))
-        right = binomial_diagonal(fewest + s2, fewest, len(ms))
-        return list(map(operator.mul, left, reversed(right)))
+class LargeSpinLimit:
+    """The s -> infinity limit of bosons, as the range pass reads it."""
 
-    def ratios(self, ms: range) -> list[float]:
-        """The wall ratio (m/(N-m))^(1/3) of each outcome m: the loads are the counts."""
-        return [eq_ratio(m, self.N - m) for m in ms]
+    outcomes = Bosons.outcomes
+
+    def light_ways(self, counted: Sequence[range]) -> Iterator[list[int]]:
+        """C(N, m) of the lighter half of each range m = 0..N, one run along row N each: the
+        counts do not factor."""
+        for ms in counted:
+            yield binomial_row(len(ms) - 1, 0, (len(ms) + 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -78,11 +114,7 @@ class LargeSpinBosons(LightHalf):
         if self.N < 0:
             raise ValueError(f"N must be >= 0, got {self.N}")
 
-    support = BosonFilling.support
+    support = counted = BosonFilling.support
     level = BosonFilling.level
-    remainder = BosonFilling.remainder
-    ratios = BosonFilling.ratios
-
-    def ways(self, ms: range) -> list[int]:
-        """C(N, m) of each outcome m, one run along row N."""
-        return binomial_row(self.N, ms.start, len(ms))
+    loads = BosonFilling.loads
+    light_ways = LargeSpinLimit.light_ways

@@ -46,7 +46,7 @@ from .core import (
     WellGeometry,
     WorkDecomposition,
 )
-from .equilibrium import wall_position
+from .equilibrium import eq_ratio, wall_position
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -468,8 +468,10 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
     geometry = _geometry(args)
     n_values = _n_values(args)
     thermal = _thermal(args)
-    # eta is undefined where W_eras = k_B T H(f) = 0, that is where the filling has one outcome
-    _strict(args, (len(phase.filling(spin, N).support) == 1 for N in n_values))
+    # eta is undefined where W_eras = k_B T H(f) = 0, that is where the filling has one
+    # outcome; the check reads each N's outcomes and leaves the filling to its row
+    species = phase.species(spin)
+    _strict(args, (len(species.outcomes(N)[0]) == 1 for N in n_values))
 
     def cells(N: int) -> list[Any]:
         """The cells of N's row, in ``_EFFICIENCY_COLUMNS`` order."""
@@ -514,7 +516,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     cycle = oracle.ensemble_cycle(N, spin, geometry, thermal)
     filling = phase.filling(spin, N)
     table = information.outcome_table(filling, geometry)
-    ratios = filling.ratios(filling.support)
+    ratios = list(map(eq_ratio, *filling.loads(filling.support)))
     analytic_work = table.work_coefficients().total_work(thermal)
 
     rows = []
@@ -586,7 +588,7 @@ def cmd_limits(args: argparse.Namespace) -> int:
         header = ["N", "lim_D_B", "lim_W0B_joule", "lim_W0B_per_E0"]
         n_values = _n_values(args)
         coefficients = information.work_coefficients_each(
-            map(boson.LargeSpinBosons, n_values), geometry
+            boson.LargeSpinLimit(), n_values, geometry
         )
         limits = ((N, lim.slope, lim.absorbed) for N, lim in zip(n_values, coefficients))
     _emit(args, header, (_line([i, slope, w0, w0 / e0]) for i, slope, w0 in limits))

@@ -6,11 +6,15 @@ one-particle states its particles fill, and the balance closes to a cubic in
 the ratio r = l_eq / (L - l_eq): r^3 = K_left / K_right (``eq_ratio``). Each
 filling type passes its own loads. Endpoint ratios 0 and inf are first-class
 values (wall pushed to a box end); they are never errors here because the
-m=0 and m=N measurement outcomes need them.
+m=0 and m=N measurement outcomes need them. The interior outcomes load both
+halves, and ``eq_ratios`` forms all of their ratios in one C-level map.
 """
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import truediv
+from typing import Iterable
 
 import numpy as np
 
@@ -40,6 +44,16 @@ def eq_ratio(left: int, right: int) -> float:
     if right == 0:
         return math.inf if left else 1.0
     return (left / right) ** (1.0 / 3.0)
+
+
+def eq_ratios(lefts: Iterable[int], rights: Iterable[int]) -> list[float]:
+    """``eq_ratio`` of each pair of positive exact-integer loads, in one C-level map.
+
+    With both loads positive ``eq_ratio`` is (left / right) ** (1/3), and this takes
+    those operations in that order, so each ratio carries its bits. The loads of an
+    interior outcome are both positive; an edge outcome's zero load needs ``eq_ratio``.
+    """
+    return list(map(pow, map(truediv, lefts, rights), repeat(1.0 / 3.0)))
 
 
 def wall_position(ratio: float, geometry: WellGeometry) -> float:

@@ -1,36 +1,40 @@
 """The closed-form observables, one path for both species.
 
-A species' filling type is its support, the partly filled ``level`` whose
-splitting sets f_m*, its ``remainder`` (the filling with its closed shells
-removed, whose counts, f and D are the filling's own: a fermion's
-k = N mod 4u particles alone; a boson filling is its own), and two column
-builders over a range of outcomes: ``ways(ms)``, the exact configuration
-counts of the remainder, and ``ratios(ms)``, the wall ratios l/(L - l), each
-``equilibrium.eq_ratio`` of the filling's own two half loads. The
-s -> infinity boson limit (``boson.LargeSpinBosons``) is one more filling
-type. Each filling calls each builder once, not once per table: its
-``LightHalf`` attributes form the lighter half of the support and keep it,
-``light_counts`` (the exact counts,
-their total and f) when f is first read and ``light_columns`` (ln f, lw and
-the interior wall ratios) when a table first needs them. ``outcome_table``
-then forms only the geometry's level splittings and mirrors the rest
-(m <-> lo + hi - m): the total count is twice the lighter half's less the
-central outcome, and the edge count (all of the remainder on one side) is the
-first one. The counts stay exact Python integers and their logs are taken of
-the integers; the level splittings of every interior wall are one numpy
-expression (``equilibrium.level_splits``). The result is one ``OutcomeTable``
-of numpy columns over the support: f_m, ln f_m, and lw_m and c_m of
+A species (``Species``) is one spin: each N's outcomes, and ``light_ways``,
+its one count formula. A filling (``Filling``) is one N of a species: its
+support, the partly filled ``level`` whose splitting sets f_m*, its species'
+``light_ways`` and ``loads(ms)``, the two exact-integer load progressions of
+the halves (``load_ranges``), whose ``equilibrium.eq_ratio`` is each outcome's
+wall ratio l/(L - l). The s -> infinity boson limit (``boson.LargeSpinBosons``)
+is one more filling type. Each filling reads its counts and loads once, not
+once per table: its ``LightHalf`` attributes form the lighter half of the
+support and keep it, ``light_counts`` (the exact counts, their total and f)
+when f is first read and ``light_columns`` (ln f, lw and the interior wall
+ratios) when a table first needs them. ``outcome_table`` then forms only the
+geometry's level splittings and mirrors the rest (m <-> lo + hi - m): the
+total count is twice the lighter half's less the central outcome, and the
+edge count (all of the counted particles on one side) is the first one. The
+counts stay exact Python integers and their logs are taken of the integers;
+the level splittings of every interior wall are one numpy expression
+(``equilibrium.level_splits``). The result is one ``OutcomeTable`` of numpy
+columns over the support: f_m, ln f_m, and lw_m and c_m of
 ln f_m* = lw_m - beta c_m, with lw_m = ln(ways/edge ways) and c_m = mu_m dE_m
-(mu_m remainder particles on the lighter side, dE_m the level splitting at
-the wall). Every observable is a reduction over that table, for both species.
-W_0 is twice sum f_m c_m over the interior outcomes (0 < mu < size / 2), since
-f and c mirror and c is 0 at the edge and central outcomes. Only D and W_0 of
-many fillings at once (``work_coefficients_each``, behind ``phase.phase_curve``
-and the boson rows of ``szilard limits``) skip the table and keep no columns,
-since each of their fillings is used once: they come from flat interior
-columns, one pass per bounded chunk of fillings, with the table's bits. That
-pass forms each distinct remainder's counts once per chunk, so along a
-fermion range the counts are formed once per remainder k, not once per N.
+(mu_m counted particles on the lighter side, dE_m the level splitting at the
+wall). Every observable is a reduction over that table, for both species.
+W_0 is twice sum f_m c_m over the interior outcomes (0 < mu < size / 2),
+since f and c mirror and c is 0 at the edge and central outcomes.
+
+Only D and W_0 of many particle numbers at once (``work_coefficients_each``,
+behind ``phase.phase_curve`` and the boson rows of ``szilard limits``) skip
+the table and build no filling: a ``Species`` gives each N's ``Outcomes``, a
+range of counted particles and plain integers, and the pass takes them in
+bounded chunks. Both species' counts factor as a_p a_(lo + hi - p) over the
+counted particles p on the left (``factored_ways``), so each chunk forms one
+count run of its spin, the run that counts one filling too; the
+s -> infinity limit's C(N, p) does not factor and forms one row run per N
+through the same hook. Each chunk then forms every interior wall ratio in one
+``equilibrium.eq_ratios`` map over the chained load ranges and every level
+splitting in one ``level_splits`` call, with the table's bits.
 
 Entropies are kept in nats throughout (one bit = ln 2 nats); the erasure
 cost k_B T H(f) is identical either way and nats avoid conversion factors
@@ -40,7 +44,9 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Iterable, NamedTuple, Protocol
+from itertools import chain
+from operator import mul
+from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -51,20 +57,27 @@ from .core import (
     WellGeometry,
     WorkDecomposition,
 )
-from .equilibrium import level_splits
+from .equilibrium import eq_ratios, level_splits
 
 #: the most outcomes one pass of ``work_coefficients_each`` holds (a larger support
-#: is a pass of its own), so its memory is bounded however many fillings it takes
+#: is a pass of its own), so its memory is bounded however many particle numbers it takes
 CHUNK_OUTCOMES = 4096
 
 
 class Filling(Protocol):
-    """A species' filling type: its outcomes, one contiguous ascending range, and its columns.
+    """A species' filling type: one N, its outcomes, one contiguous ascending range, and its loads.
 
-    ``ways`` and ``ratios`` build the columns of any range of outcomes. Every
-    filling type also derives from ``LightHalf``, whose two attributes call them
-    on the lighter half once per filling, not once per table or distribution.
+    Its ``light_ways`` is its species' own, the one count formula of that
+    species, read only for its ``counted`` particles, and ``loads`` builds the
+    loads of any range of outcomes. Every filling type also derives from
+    ``LightHalf``, whose two attributes call them on the lighter half once per
+    filling, not once per table or distribution.
     """
+
+    @property
+    def counted(self) -> range:
+        """The counted particles p the left half can hold, one per outcome, as in ``Outcomes``."""
+        ...
 
     @property
     def support(self) -> range: ...
@@ -73,32 +86,70 @@ class Filling(Protocol):
     def level(self) -> int: ...
 
     @property
-    def remainder(self) -> Filling:
-        """The filling with its closed shells removed, whose counts, f and D are this one's.
-
-        A fermion's closed shells carry a single configuration, so its remainder is
-        the k = N mod 4u particles alone; a boson filling is its own remainder.
-        The range pass forms each distinct remainder's counts once per chunk.
-        """
-        ...
-
-    @property
     def light_counts(self) -> LightCounts: ...
 
     @property
     def light_columns(self) -> LightColumns: ...
 
-    def ways(self, ms: range) -> list[int]:
-        """Exact configuration counts of the outcomes ``ms``.
+    def light_ways(self, counted: Sequence[range]) -> Iterable[list[int]]:
+        """``Species.light_ways``, the same function: it reads only the filling's spin."""
+        ...
 
-        ``ms`` is a contiguous ascending slice of ``support``. Each count is a
-        product of binomials, and each factor comes as one run over ``ms``,
-        seeded by a single ``math.comb`` and stepped exactly from it
-        (``combinatorics.binomial_row``, ``binomial_diagonal``).
+    def loads(self, ms: range) -> tuple[range, range]:
+        """The left and right halves' loads at each outcome of ``ms``, from ``load_ranges``."""
+        ...
+
+
+#: One particle number as the range pass reads it: (counted, level, shells, top).
+#: The counted particles are all N bosons, or a fermion's k remainder particles on
+#: its partly filled level ``level``. The outcomes leave p of them on the left for
+#: each p of the range ``counted``, and lowest + highest - p on the right, and a half
+#: holding p of them has the exact-integer load shells + p top.
+Outcomes = tuple[range, int, int, int]
+
+
+class Species(Protocol):
+    """One spin of a species, as the range pass reads it: each N's outcomes and their counts."""
+
+    def outcomes(self, N: int) -> Outcomes: ...
+
+    def light_ways(self, counted: Sequence[range]) -> Iterable[list[int]]:
+        """The exact counts of the lighter half of each range of counted particles, ascending.
+
+        The counts leaving p on the left depend on that range alone. They come as
+        runs of binomials, each seeded by a single ``math.comb`` and stepped
+        exactly from it (``combinatorics.binomial_row``, ``binomial_diagonal``).
         """
         ...
 
-    def ratios(self, ms: range) -> list[float]: ...
+
+def factored_ways(
+    counted: Sequence[range], run: Callable[[int], list[int]]
+) -> Iterator[list[int]]:
+    """``Species.light_ways`` of counts that factor as a_p a_(lowest + highest - p).
+
+    ``run(length)`` gives a_0, ..., a_(length - 1) as exact integers. It is called
+    once, as long as the highest p needs, and every count is a product of two of
+    its elements.
+    """
+    counts = run(max([ps.stop for ps in counted]))
+    for ps in counted:
+        start, stop = ps.start, ps.stop
+        light = (stop - start + 1) // 2
+        yield list(map(mul, counts[start : start + light], reversed(counts[stop - light : stop])))
+
+
+def load_ranges(shells: int, top: int, p: int, q: int, count: int) -> tuple[range, range]:
+    """The loads shells + p top of ``count`` halves holding p, p + 1, ... counted particles,
+    and of their other halves, holding q, q - 1, ...
+
+    A negative load, which an outcome outside a filling's support forms, raises ValueError.
+    """
+    left = range(shells + p * top, shells + (p + count) * top, top)
+    right = range(shells + q * top, shells + (q - count) * top, -top)
+    if count > 0 and (left[0] < 0 or right[-1] < 0):
+        raise ValueError(f"loads must be >= 0, got {left} and {right}")
+    return left, right
 
 
 class LightCounts(NamedTuple):
@@ -135,13 +186,15 @@ class LightHalf:
 
     @cached_property
     def light_counts(self: Filling) -> LightCounts:
-        """One ``ways`` call: all that a measurement distribution reads."""
-        ways, total = _light_ways(self, self.support)
+        """One ``light_ways`` call: all that a measurement distribution reads."""
+        counted = self.counted
+        (ways,) = self.light_ways([counted])
+        total = _total(ways, len(counted))
         return LightCounts(tuple(ways), total, _read_only(np.array([w / total for w in ways])))
 
     @cached_property
     def light_columns(self: Filling) -> LightColumns:
-        """ln f and lw of the exact counts, and one ``ratios`` call over the interior outcomes."""
+        """ln f and lw of the exact counts, and one ``loads`` call over the interior outcomes."""
         ways, total, f = self.light_counts
         support = self.support
         size = len(support)
@@ -153,7 +206,7 @@ class LightHalf:
         if size % 2:
             lw[-1] = log_f[-1]
         rows = _read_only(np.array([f, log_f, lw, np.zeros(len(ways))]))
-        return LightColumns(rows, tuple(self.ratios(support[1 : size // 2])))
+        return LightColumns(rows, tuple(eq_ratios(*self.loads(support[1 : size // 2]))))
 
 
 class OutcomeTable(NamedTuple):
@@ -190,7 +243,7 @@ class OutcomeTable(NamedTuple):
         interior = slice(1, size // 2)
         return WorkDecomposition(
             slope=_slope(central, self.log_f[0]),
-            absorbed=2.0 * float(self.f[interior] @ self.c[interior]),
+            absorbed=2.0 * float(self.f[interior].dot(self.c[interior])),
         )
 
     def relative_entropy_work(self, thermal: ThermalPoint) -> float:
@@ -225,16 +278,13 @@ def _slope(central: float, log_edge: float) -> float:
     return float((1.0 - central) * (0.0 - log_edge))
 
 
-def _light_ways(filling: Filling, support: range) -> tuple[list[int], int]:
-    """Counts of the lighter half of ``support``, ascending, and the count of all outcomes.
+def _total(light: list[int], size: int) -> int:
+    """The count of all ``size`` outcomes from the lighter half's ascending counts.
 
     The counts are mirror-symmetric, so the total is twice the lighter half's,
     less the central outcome's once (Vandermonde's identity, as an exact integer).
     """
-    size = len(support)
-    ways = filling.ways(support[: (size + 1) // 2])
-    total = 2 * sum(ways) - (ways[-1] if size % 2 else 0)
-    return ways, total
+    return 2 * sum(light) - (light[-1] if size % 2 else 0)
 
 
 def _mirror(light: np.ndarray, size: int) -> np.ndarray:
@@ -254,7 +304,7 @@ def outcome_table(filling: Filling, geometry: WellGeometry) -> OutcomeTable:
     size = len(support)
     light, ratios = filling.light_columns
     light = light.copy()
-    # mu remainder particles on the lighter side; the edge (mu = 0) and the
+    # mu counted particles on the lighter side; the edge (mu = 0) and the
     # central outcome carry no splitting
     half = size // 2
     light[3, 1:half] = np.arange(1, half) * level_splits(filling.level, ratios, geometry)
@@ -277,77 +327,78 @@ def work_coefficients(filling: Filling, geometry: WellGeometry) -> WorkDecomposi
 
 
 def work_coefficients_each(
-    fillings: Iterable[Filling], geometry: WellGeometry
+    species: Species, n_values: Iterable[int], geometry: WellGeometry
 ) -> list[WorkDecomposition]:
-    """``work_coefficients`` of each filling, in order, with the same bits and no table.
+    """``work_coefficients`` of each N's filling, in order, with the same bits and no filling.
 
-    The fillings are taken in chunks of at most ``CHUNK_OUTCOMES`` outcomes (a
-    larger support is a chunk of its own), so memory does not grow with their number.
-    Each filling's support is read once, here, and travels with it.
+    The N are taken in chunks of at most ``CHUNK_OUTCOMES`` outcomes (a larger
+    support is a chunk of its own), so memory does not grow with their number.
     """
     coefficients: list[WorkDecomposition] = []
-    chunk: list[tuple[Filling, range]] = []
+    chunk: list[Outcomes] = []
     held = 0
-    for filling in fillings:
-        support = filling.support
-        size = len(support)
+    for outcomes in map(species.outcomes, n_values):
+        size = len(outcomes[0])
         if chunk and held + size > CHUNK_OUTCOMES:
-            coefficients += _chunk_coefficients(chunk, geometry)
+            coefficients += _chunk_coefficients(species, chunk, geometry)
             chunk, held = [], 0
-        chunk.append((filling, support))
+        chunk.append(outcomes)
         held += size
     if chunk:
-        coefficients += _chunk_coefficients(chunk, geometry)
+        coefficients += _chunk_coefficients(species, chunk, geometry)
     return coefficients
 
 
-def _interior_counts(filling: Filling, support: range) -> tuple[list[float], float]:
-    """f of the interior outcomes (0 < mu < size / 2) and the slope D of a filling."""
-    size = len(support)
-    ways, total = _light_ways(filling, support)
-    central = ways[-1] / total if size % 2 else 0.0
-    slope = _slope(central, math.log(ways[0]) - math.log(total))
-    return [w / total for w in ways[1 : size // 2]], slope
-
-
 def _chunk_coefficients(
-    chunk: list[tuple[Filling, range]], geometry: WellGeometry
+    species: Species, chunk: list[Outcomes], geometry: WellGeometry
 ) -> list[WorkDecomposition]:
-    """One pass over flat interior columns of every (filling, support) in ``chunk``.
+    """One pass over flat interior columns of every N in ``chunk``.
 
-    f and D depend only on a filling's remainder, so each distinct remainder's
-    interior f and D are formed once per chunk, from the first filling that has it,
-    in a dict that dies with the pass. Each filling adds them and its wall ratios
-    for its interior outcomes (0 < mu < size / 2); the mu and level columns come
-    from each filling's run length, and one ``level_splits`` call forms every
-    splitting. Each W_0 is then twice the dot of f and c over that filling's run,
-    the dot that ``OutcomeTable.work_coefficients`` takes over the same values.
+    f and D depend only on the range of counted particles, which recurs along a
+    fermion range (once per remainder k), so one ``light_ways`` call counts each
+    distinct range once, in a dict that dies with the pass. Each N then adds its
+    interior outcomes' f (0 < mu < size / 2) and their load ranges; the chunk forms
+    every wall ratio in one ``eq_ratios`` map and every splitting in one
+    ``level_splits`` call, on mu and level columns from each N's run length. Each
+    W_0 is twice the dot of f and c over that N's run, the dot that
+    ``OutcomeTable.work_coefficients`` takes over the same values.
+
+    An N with no interior outcome, which is every N of spin-1/2 fermions, adds no
+    load ranges and skips its empty dot for that dot's value, 0.0: the two skips
+    make a spin-1/2 pass about 1.5x faster (N = 350..452, min of 200 runs on a
+    2-vCPU VM, Python 3.11), and cost other spins nothing measurable.
     """
-    counts: dict[Filling, tuple[list[float], float]] = {}
+    light = dict.fromkeys(counted for counted, _, _, _ in chunk)
+    for counted, ways in zip(light, species.light_ways(list(light))):
+        size = len(counted)
+        total = _total(ways, size)
+        central = ways[-1] / total if size % 2 else 0.0
+        interior = [w / total for w in ways[1 : size // 2]]
+        light[counted] = interior, _slope(central, math.log(ways[0]) - math.log(total))
     f: list[float] = []
-    ratios: list[float] = []
+    lefts: list[range] = []
+    rights: list[range] = []
     slopes: list[float] = []
     ends: list[int] = []
-    for filling, support in chunk:
-        remainder = filling.remainder
-        if remainder is filling:  # no closed shells: no other N has its counts
-            light = _interior_counts(filling, support)
-        elif (light := counts.get(remainder)) is None:
-            light = counts[remainder] = _interior_counts(filling, support)
-        interior, slope = light
-        f += interior
+    for counted, _, shells, top in chunk:
+        interior, slope = light[counted]
         slopes.append(slope)
-        ratios += filling.ratios(support[1 : len(support) // 2])
+        if interior:
+            f += interior
+            left, right = load_ranges(shells, top, counted[1], counted[-2], len(interior))
+            lefts.append(left)
+            rights.append(right)
         ends.append(len(f))
-    # each filling's run of interior outcomes: its level throughout, mu = 1, 2, ...
+    ratios = eq_ratios(chain.from_iterable(lefts), chain.from_iterable(rights))
+    # each N's run of interior outcomes: its level throughout, mu = 1, 2, ...
     starts = np.array([0] + ends[:-1], dtype=np.int64)
     runs = np.array(ends, dtype=np.int64) - starts
-    levels = np.repeat(np.array([filling.level for filling, _ in chunk], dtype=np.int64), runs)
+    levels = np.repeat(np.array([level for _, level, _, _ in chunk], dtype=np.int64), runs)
     mu = np.arange(1, len(f) + 1, dtype=np.int64) - np.repeat(starts, runs)
     c = mu * level_splits(levels, ratios, geometry)
     f_col = np.array(f)
     return [
-        WorkDecomposition(slope=slope, absorbed=2.0 * float(f_col[a:b] @ c[a:b]))
+        WorkDecomposition(slope, 2.0 * float(f_col[a:b].dot(c[a:b])) if b > a else 0.0)
         for slope, a, b in zip(slopes, starts.tolist(), ends)
     ]
 

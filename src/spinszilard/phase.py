@@ -6,16 +6,18 @@ total work at T_c = W_0 / (D k_B), its coefficients'
 boson N = 0) have no transition; their T_c is ``None``, never NaN, so file
 consumers can tell "no transition" from numeric failure.
 
-``phase_curve`` is each N's work coefficients D and W_0, in the caller's
-order, as the ``WorkDecomposition``s of one chunked pass over the whole N
-range (``information.work_coefficients_each``), with no outcome table and the
-bits of ``information.work_coefficients``; the caller pairs them with its own
-N. f and D depend only on a filling's remainder, so along a fermion range the
-pass counts each remainder k = N mod 4u once per chunk and forms only the wall
-ratios per N. ``work_rows`` reduces a block of those coefficients to their
-work at given temperatures, one configuration per row, in one array
-expression: that block is what the CLI formats into a block of (N, T) grid
-rows. ``extremal_report`` reads every field from one curve.
+``species`` picks the species of a spin, and ``filling`` forms one N's
+filling from it. ``phase_curve`` is each N's work coefficients D and W_0, in
+the caller's order, as the ``WorkDecomposition``s of one chunked pass over the
+whole N range (``information.work_coefficients_each``), with the bits of
+``information.work_coefficients``; the caller pairs them with its own N. The
+pass reads the spin's species and builds no filling and no outcome table:
+each chunk of the range forms one count run of the spin, one map of wall
+ratios and one call of level splittings, and along a fermion range it counts
+each remainder k = N mod 4u once per chunk. ``work_rows`` reduces a block of
+those coefficients to their work at given temperatures, one configuration per
+row, in one array expression: that block is what the CLI formats into a block
+of (N, T) grid rows. ``extremal_report`` reads every field from one curve.
 """
 from __future__ import annotations
 
@@ -24,9 +26,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .boson import BosonFilling
+from .boson import BosonFilling, Bosons
 from .core import BOLTZMANN, ParticleKind, SpinStatistics, WellGeometry, WorkDecomposition
-from .fermion import FermionFilling, decompose
+from .fermion import FermionFilling, Fermions
 from .information import work_coefficients_each
 
 
@@ -46,11 +48,16 @@ def work_rows(
     return (slope * BOLTZMANN)[:, None] * temperatures - absorbed[:, None]
 
 
-def filling(spin: SpinStatistics, N: int) -> FermionFilling | BosonFilling:
-    """The filling of N particles of this species: the one place a species is picked."""
+def species(spin: SpinStatistics) -> Fermions | Bosons:
+    """The species of this spin: the one place a species is picked."""
     if spin.kind is ParticleKind.FERMION:
-        return decompose(N, spin.u)
-    return BosonFilling(N=N, s=spin.s)
+        return Fermions(spin.u)
+    return Bosons(spin.s)
+
+
+def filling(spin: SpinStatistics, N: int) -> FermionFilling | BosonFilling:
+    """The filling of N particles of this spin's species."""
+    return species(spin).filling(N)
 
 
 def phase_curve(
@@ -60,7 +67,7 @@ def phase_curve(
     n_values = list(n_values)
     if not n_values:
         raise ValueError("n_values must be non-empty")
-    return work_coefficients_each((filling(spin, N) for N in n_values), geometry)
+    return work_coefficients_each(species(spin), n_values, geometry)
 
 
 @dataclass(frozen=True)

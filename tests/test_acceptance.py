@@ -18,7 +18,7 @@ from spinszilard.core import (
     ThermalPoint,
     WellGeometry,
 )
-from spinszilard.equilibrium import wall_position
+from spinszilard.equilibrium import eq_ratio, wall_position
 from spinszilard.fermion import decompose
 
 from test_equilibrium import level_split_large_n
@@ -286,7 +286,7 @@ def test_criterion_08_oracle_equivalence():
                 f_closed = 0.0  # outside the closed-form support
                 if m in filling.support:
                     f_closed = closed_dist.probabilities[m - closed_dist.support[0]]
-                    (ratio,) = filling.ratios(range(m, m + 1))
+                    (ratio,) = map(eq_ratio, *filling.loads(range(m, m + 1)))
                     analytic_pos = wall_position(ratio, GEOM)
                     worst_dl = max(worst_dl, abs(cycle.equilibria[m] - analytic_pos) / L)
                 worst_df = max(

@@ -5,7 +5,7 @@ import pytest
 from spinszilard import boson, information
 from spinszilard.boson import BosonFilling, LargeSpinBosons
 from spinszilard.core import BOLTZMANN, ThermalPoint, WellGeometry
-from spinszilard.equilibrium import level_splits
+from spinszilard.equilibrium import eq_ratios, level_splits
 
 GEOM = WellGeometry(length=1e-9, mass=1e-26)
 E0 = GEOM.reference_energy
@@ -134,17 +134,40 @@ def test_large_spin_limits_small_n():
         LargeSpinBosons(-1)
 
 
-def test_boson_fillings_are_their_own_remainders():
-    """No closed shells: each boson N keeps its own counts in the range pass."""
-    for filling in (BosonFilling(N=7, s=2), LargeSpinBosons(7)):
-        assert filling.remainder is filling
+def test_range_counts_are_the_fillings_counts():
+    """One ``light_ways`` call over many N gives each N's lighter-half counts, one ``math.comb``
+    product per outcome, and each filling counts its own N through that same function; the
+    outcomes are the filling's support and level, and the loads are the counts."""
+    n_values = [0, 1, 2, 7, 40, 3, 401, 40]
+    for s in (0, 2, 7, None):
+        species = boson.LargeSpinLimit() if s is None else boson.Bosons(s)
+        fillings = [LargeSpinBosons(N) if s is None else BosonFilling(N, s) for N in n_values]
+        assert type(fillings[0]).light_ways is type(species).light_ways
+        outcomes = [species.outcomes(N) for N in n_values]
+        if s is not None:
+            assert [species.filling(N) for N in n_values] == fillings
+        assert [(counted, level, shells, top) for counted, level, shells, top in outcomes] == [
+            (filling.support, filling.level, 0, 1) for filling in fillings
+        ]
+        expected = [
+            tuple(
+                math.comb(N, m)
+                if s is None
+                else math.comb(m + 2 * s, m) * math.comb(N - m + 2 * s, N - m)
+                for m in range(N // 2 + 1)
+            )
+            for N in n_values
+        ]
+        counts = species.light_ways([counted for counted, *_ in outcomes])
+        assert [tuple(ways) for ways in counts] == expected
+        assert [f.light_counts.ways for f in fillings] == expected
 
 
 @pytest.mark.parametrize("N", [0, 1, 2, 3, 4, 11, 200, 1021, 1022, 1023, 1500])
 def test_large_spin_ways_are_one_comb_per_outcome(N):
     """The row-stepped counts are C(N, m) exactly, past N = 1021 where 2^N leaves the floats."""
-    support = LargeSpinBosons(N).support
-    assert LargeSpinBosons(N).ways(support) == [math.comb(N, m) for m in support]
+    (ways,) = boson.LargeSpinLimit().light_ways([range(N + 1)])
+    assert ways == [math.comb(N, m) for m in range(N // 2 + 1)]
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 11, 200, 1023, 1500])
@@ -152,7 +175,7 @@ def test_large_spin_absorbed_work_is_the_sequential_sum(N):
     """W_0 is within 1e-15 of the sum of m C(N, m) / 2^(N-1) dE_m over the lighter half."""
     upper = (N - 1) // 2 if N % 2 else N // 2 - 1
     ms = range(1, upper + 1)
-    splits = level_splits(1, BosonFilling(N=N, s=0).ratios(ms), GEOM).tolist()
+    splits = level_splits(1, eq_ratios(*BosonFilling(N=N, s=0).loads(ms)), GEOM).tolist()
     absorbed = 0.0
     for m, split in zip(ms, splits):
         absorbed += m * math.comb(N, m) / 2 ** (N - 1) * split

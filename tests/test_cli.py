@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from spinszilard import cli, information, phase
+from spinszilard.boson import BosonFilling
 from spinszilard.core import BOLTZMANN, ParticleKind, SpinStatistics, ThermalPoint, WellGeometry
 
 from test_information import second_highest_efficiency
@@ -375,28 +376,29 @@ def test_phase_multiple_spins(tmp_path):
     assert len(lines) == 10
 
 
-def test_phase_builds_no_outcome_table_and_each_filling_once(tmp_path, monkeypatch):
-    """The T_c table and the work grid share one filling per (spin, N) and build no table."""
+def test_phase_builds_no_outcome_table_and_no_filling(tmp_path, monkeypatch):
+    """The T_c table and the work grid share one pass per spin, which builds no table and no
+    filling."""
     tables = collections.Counter()
     fillings = collections.Counter()
-    build, form = information.outcome_table, phase.filling
+    build, check = information.outcome_table, BosonFilling.__post_init__
 
     def counted_table(filling, geometry):
         tables[filling] += 1
         return build(filling, geometry)
 
-    def counted_filling(spin, N):
-        fillings[spin.twice_spin, N] += 1
-        return form(spin, N)
+    def counted_filling(filling):
+        fillings[filling.s, filling.N] += 1
+        check(filling)
 
     monkeypatch.setattr(information, "outcome_table", counted_table)
-    monkeypatch.setattr(phase, "filling", counted_filling)
+    monkeypatch.setattr(BosonFilling, "__post_init__", counted_filling)
     argv = ["phase", "--species", "boson", "--two-s", "0,2,4", "--n-range", "1:20",
             "--temp-range", "0:1:0.05", "--out", str(tmp_path / "p.csv")]
     assert run(argv) == 0
     assert (tmp_path / "p.csv.grid.csv").exists()
     assert tables == {}
-    assert fillings == {(two_s, N): 1 for two_s in (0, 2, 4) for N in range(1, 21)}
+    assert fillings == {}
 
 
 @pytest.mark.parametrize("n_range,temp_range", [("1:20", "0:1:0.05"), ("1:3", "0:1:0.0009")],
@@ -575,6 +577,27 @@ def test_efficiency_undefined_and_strict(capsys):
     # a deterministic outcome costs no erasure work, and it prints as +0
     assert payload["Weras_joule"] == "0.00000000e+00"
     assert run(argv + ["--strict"]) == 3
+
+
+@pytest.mark.parametrize("species,two_s", [("fermion", "39"), ("boson", "2")])
+def test_efficiency_strict_forms_each_filling_once(species, two_s, capsys, monkeypatch):
+    """Under --strict each N's filling is formed once, for its row, and the bytes are the
+    default output's."""
+    argv = ["efficiency", "--species", species, "--two-s", two_s, "--n-range", "1:40",
+            "--temp", "0.1"]
+    assert run(argv) == 0
+    expected = capsys.readouterr().out
+    formed = collections.Counter()
+    form = phase.filling
+
+    def counted(spin, N):
+        formed[N] += 1
+        return form(spin, N)
+
+    monkeypatch.setattr(phase, "filling", counted)
+    assert run(argv + ["--strict"]) == 0
+    assert capsys.readouterr().out == expected
+    assert formed == {N: 1 for N in range(1, 41)}
 
 
 @pytest.mark.parametrize("species", ["fermion", "boson"])

@@ -9,6 +9,7 @@ from spinszilard.core import BOLTZMANN, HBAR, SpinStatistics, ThermalPoint, Well
 from spinszilard.equilibrium import (
     WallAtBoundaryError,
     eq_ratio,
+    eq_ratios,
     level_splits,
     wall_position,
 )
@@ -84,26 +85,27 @@ def test_boson_ratio():
 
 
 @pytest.mark.parametrize(
-    "ratios",
+    "refused",
     [
         lambda: eq_ratio(-1, 2),
         lambda: eq_ratio(2, -1),
         # outcomes m outside the support 0..3 leave a negative load on one side
-        lambda: decompose(3, 5).ratios(range(-1, 5)),
-        lambda: decompose(3, 5).ratios([4]),
-        lambda: BosonFilling(3, 0).ratios(range(3, 6)),
+        lambda: decompose(3, 5).loads(range(-1, 5)),
+        lambda: decompose(3, 5).loads(range(4, 5)),
+        lambda: BosonFilling(3, 0).loads(range(3, 6)),
     ],
 )
-def test_negative_load_is_refused(ratios):
+def test_negative_load_is_refused(refused):
     """A negative load would give a complex cube root; it raises instead."""
     with pytest.raises(ValueError, match="loads must be >= 0"):
-        ratios()
+        refused()
 
 
 def test_ratios_beyond_float_loads_are_eq_ratio_bit_for_bit():
     """Loads past 2^53 are divided as exact integers, as ``eq_ratio`` divides them.
 
-    Two periods of N at N = 4e7 u, for u = 2, 5 and 20: 1,560 interior ratios, on
+    The loads are each filling's ``loads`` ranges, and the ratios ``eq_ratios``, the one
+    map over them that the range pass and the outcome tables take. Two periods of N at N = 4e7 u, for u = 2, 5 and 20: 1,560 interior ratios, on
     loads near 1e22. Dividing the loads as float64 changes some of them, so a
     float-load shortcut fails here.
     """
@@ -120,7 +122,8 @@ def test_ratios_beyond_float_loads_are_eq_ratio_bit_for_bit():
                      for p in range(ms.start - 2 * u * n, ms.stop - 2 * u * n)]
             assert min(map(min, loads), default=2**53) >= 2**53
             expected = [eq_ratio(left, right) for left, right in loads]
-            assert filling.ratios(ms) == expected, N
+            assert list(zip(*filling.loads(ms))) == loads, N
+            assert eq_ratios(*filling.loads(ms)) == expected, N
             shortcut += sum((float(left) / float(right)) ** (1.0 / 3.0) != ratio
                             for (left, right), ratio in zip(loads, expected))
     assert shortcut > 0
@@ -139,11 +142,11 @@ def test_filling_ratios_are_the_printed_forms():
                 # every count p in [0, k], also outside the support the fillings use
                 ms = range(2 * u * n, 2 * u * n + k + 1)
                 expected = [paper_fermion_ratio(u, n, k, p) for p in range(k + 1)]
-                assert filling.ratios(ms) == expected, (u, n, k)
+                assert list(map(eq_ratio, *filling.loads(ms))) == expected, (u, n, k)
     for N in range(401):
         filling = BosonFilling(N=N, s=0)
         expected = [paper_boson_ratio(m, N) for m in filling.support]
-        assert filling.ratios(filling.support) == expected, N
+        assert list(map(eq_ratio, *filling.loads(filling.support))) == expected, N
 
 
 def brute_force_load(count: int, spin: SpinStatistics) -> int:
@@ -183,7 +186,7 @@ def test_closed_form_walls_are_the_oracle_seed(spin, n_values, monkeypatch):
             ratio = eq_ratio(brute_force_load(m, spin), brute_force_load(N - m, spin))
             assert seeds[m] == wall_position(ratio, GEOM), (N, m)
             if m in filling.support:
-                assert filling.ratios(range(m, m + 1)) == [ratio], (N, m)
+                assert eq_ratios(*filling.loads(range(m, m + 1))) == [ratio], (N, m)
 
 
 def test_wall_position_mapping():

@@ -184,13 +184,24 @@ def test_filled_shell_slope_is_the_phase_curve_slope():
 
 def test_remainder_carries_the_fillings_counts():
     """The closed shells carry one configuration: the N = k filling has the counts, f
-    and D of every N = 4un + k, and is its own remainder."""
+    and D of every N = 4un + k, and one ``light_ways`` call over all N gives them too, one
+    ``math.comb`` product per outcome."""
     for u in (1, 2, 5, 20):
-        for N in [*range(12 * u), 10**6 * u + 3]:
+        n_values = [*range(12 * u), 10**6 * u + 3]
+        species = fermion.Fermions(u)
+        assert FermionFilling.light_ways is fermion.Fermions.light_ways
+        outcomes = [species.outcomes(N) for N in n_values]
+        counts = species.light_ways([counted for counted, *_ in outcomes])
+        for N, (counted, level, shells, top), ways in zip(n_values, outcomes, counts):
             filling = decompose(N, u)
-            remainder = filling.remainder
-            assert remainder == FermionFilling(N=filling.k, u=u, n=0, k=filling.k)
-            assert remainder.remainder == remainder
+            assert species.filling(N) == filling
+            assert (len(counted), level) == (len(filling.support), filling.level)
+            light = counted[: (len(counted) + 1) // 2]
+            expected = tuple(math.comb(2 * u, p) * math.comb(2 * u, filling.k - p) for p in light)
+            assert tuple(ways) == filling.light_counts.ways == expected
+            # a half holding p remainder particles has load shells + p top
+            assert [shells + p * top for p in counted] == list(filling.loads(filling.support)[0])
+            remainder = FermionFilling(N=filling.k, u=u, n=0, k=filling.k)
             assert len(remainder.support) == len(filling.support)
             assert remainder.light_counts.ways == filling.light_counts.ways
             assert remainder.light_counts.f.tolist() == filling.light_counts.f.tolist()

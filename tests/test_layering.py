@@ -25,3 +25,10 @@ def test_oracle_imports_only_core_and_no_closed_form_imports_the_oracle():
     assert package_imports("oracle") == {"core"}
     for module in ("fermion", "boson", "information", "equilibrium", "phase"):
         assert "oracle" not in package_imports(module), module
+
+
+def test_the_range_pass_reads_no_species_module():
+    """``information`` holds the one species-agnostic pass: it reads only ``core`` and
+    ``equilibrium``, and each species reaches it through the ``Filling`` and ``Species``
+    protocols, so no species can fork the pass."""
+    assert package_imports("information") == {"core", "equilibrium"}

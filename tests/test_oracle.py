@@ -19,7 +19,7 @@ from spinszilard.core import (
     WellGeometry,
     level_energy,
 )
-from spinszilard.equilibrium import wall_position
+from spinszilard.equilibrium import eq_ratio, wall_position
 from spinszilard.fermion import decompose
 from spinszilard.phase import filling
 
@@ -268,7 +268,7 @@ def test_cold_walls_are_the_cubic_rule_walls(spin):
     for N in range(2, 7):
         fill = filling(spin, N)
         walls = oracle.exact_equilibria(N, spin, GEOM, thermal_at(0.02))
-        ratios = fill.ratios(fill.support)
+        ratios = list(map(eq_ratio, *fill.loads(fill.support)))
         for m in range(1, N):
             if m in fill.support:
                 ratio = ratios[m - fill.support[0]]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spinszilard import boson, fermion, information, phase
-from spinszilard.boson import BosonFilling
+from spinszilard.boson import BosonFilling, LargeSpinBosons
 from spinszilard.core import BOLTZMANN, ParticleKind, SpinStatistics, ThermalPoint, WellGeometry
 from spinszilard.fermion import FermionFilling, decompose
 
@@ -122,12 +122,14 @@ def test_phase_curve_holds_the_work_coefficients():
             assert tc is None
 
 
-#: (spin, N values): fermion and boson ranges that span many chunks, one support
-#: larger than a chunk, N lists out of order and with repeats, a fermion list whose
-#: remainders recur out of order across chunk boundaries, and loads past 2^53
+#: (spin, N values): fermion and boson ranges that span many chunks, a boson range far
+#: from N = 0, one support larger than a chunk, N lists out of order and with repeats, a
+#: fermion list whose remainders recur out of order across chunk boundaries, and loads
+#: past 2^53
 CURVE_CASES = (
     [(SpinStatistics.fermion(t), range(0, 600)) for t in (1, 3, 9, 39, 41)]
     + [(SpinStatistics.boson(t), range(0, 400)) for t in (0, 2, 40)]
+    + [(SpinStatistics.boson(20), range(350, 421))]
     + [
         (SpinStatistics.fermion(9), [40, 3, 3, 0, 599, 17, 2, 3, 20, 20]),
         (SpinStatistics.boson(2), [399, 0, 5, 5, 1, 300, 2, 1]),
@@ -158,6 +160,20 @@ def test_phase_curve_is_work_coefficients_bit_for_bit(geometry):
     assert crossed >= 6
 
 
+def test_large_spin_range_is_each_outcome_table_bit_for_bit():
+    """The s -> infinity boson range, whose counts C(N, m) do not factor, takes the same pass:
+    each N's D and W_0 carry the bits of its own ``LargeSpinBosons`` outcome table."""
+    n_values = [*range(0, 1100, 9), 1500, 2, 1500, 0, 1]
+    curve = information.work_coefficients_each(boson.LargeSpinLimit(), n_values, GEOM)
+    got = [(coeffs.slope.hex(), coeffs.absorbed.hex()) for coeffs in curve]
+    expected = []
+    for N in n_values:
+        coeffs = information.outcome_table(LargeSpinBosons(N), GEOM).work_coefficients()
+        expected.append((coeffs.slope.hex(), coeffs.absorbed.hex()))
+    assert got == expected
+    assert sum(N + 1 for N in n_values) > 10 * information.CHUNK_OUTCOMES
+
+
 def test_absorbed_work_is_within_four_ulp_of_the_exact_sum():
     """W_0 of both paths lies within 4 ulp of the exactly rounded sum f_m c_m of the table."""
     for spin, n_values in CURVE_CASES:
@@ -172,67 +188,85 @@ def test_absorbed_work_is_within_four_ulp_of_the_exact_sum():
 
 @pytest.mark.parametrize(
     "spin,n_values",
-    [(SpinStatistics.fermion(1), range(0, 6000)), (SpinStatistics.boson(2), range(0, 200))],
-    ids=["fermion", "boson"],
+    [
+        (SpinStatistics.fermion(3), range(0, 6000)),
+        (SpinStatistics.fermion(39), range(0, 900)),
+        (SpinStatistics.boson(2), range(0, 200)),
+    ],
+    ids=["fermion", "wide-fermion", "boson"],
 )
-def test_phase_curve_splits_once_per_chunk_and_reads_interior_ratios(
+def test_phase_curve_forms_one_count_run_one_ratio_map_and_one_split_per_chunk(
     monkeypatch, spin, n_values
 ):
-    """One ``level_splits`` call per chunk; each filling's ratios only over its interior."""
-    calls = {"chunks": 0, "splits": 0, "ratios": 0}
-    chunk_coefficients, level_splits = information._chunk_coefficients, information.level_splits
+    """Each chunk forms one count run of its spin, one ``eq_ratios`` map over the interior
+    outcomes' loads and one ``level_splits`` call; the pass builds no filling."""
+    interior = sum(max(0, len(phase.filling(spin, N).support) // 2 - 1) for N in n_values)
+    chunks: list[collections.Counter] = []
+    built = collections.Counter()
+    chunk_coefficients = information._chunk_coefficients
+    eq_ratios, level_splits = information.eq_ratios, information.level_splits
 
-    def counted_chunk(chunk, geometry):
-        calls["chunks"] += 1
-        return chunk_coefficients(chunk, geometry)
+    def recorded_chunk(species, chunk, geometry):
+        chunks.append(collections.Counter())
+        return chunk_coefficients(species, chunk, geometry)
 
-    def counted_splits(*args):
-        calls["splits"] += 1
-        return level_splits(*args)
+    def counted(name, call):
+        def wrapped(*args):
+            chunks[-1][name] += 1
+            return call(*args)
 
-    monkeypatch.setattr(information, "_chunk_coefficients", counted_chunk)
-    monkeypatch.setattr(information, "level_splits", counted_splits)
-    for kind in (BosonFilling, FermionFilling):
-        ratios = kind.ratios
+        return wrapped
 
-        def interior_ratios(filling, ms, ratios=ratios):
-            calls["ratios"] += 1
-            support = filling.support
-            assert ms == support[1 : len(support) // 2], (filling, ms)
-            return ratios(filling, ms)
+    def counted_ratios(lefts, rights):
+        ratios = eq_ratios(lefts, rights)
+        chunks[-1]["maps"] += 1
+        chunks[-1]["ratios"] += len(ratios)
+        return ratios
 
-        monkeypatch.setattr(kind, "ratios", interior_ratios)
+    monkeypatch.setattr(information, "_chunk_coefficients", recorded_chunk)
+    monkeypatch.setattr(information, "eq_ratios", counted_ratios)
+    monkeypatch.setattr(information, "level_splits", counted("splits", level_splits))
+    monkeypatch.setattr(fermion, "binomial_row", counted("runs", fermion.binomial_row))
+    monkeypatch.setattr(boson, "binomial_diagonal", counted("runs", boson.binomial_diagonal))
+    for kind in (FermionFilling, BosonFilling):
+        init = kind.__init__
+
+        def counted_init(filling, *args, init=init, **kwargs):
+            built[type(filling)] += 1
+            init(filling, *args, **kwargs)
+
+        monkeypatch.setattr(kind, "__init__", counted_init)
     phase.phase_curve(spin, GEOM, n_values)
-    assert calls["chunks"] >= 3
-    assert calls["splits"] == calls["chunks"]
-    assert calls["ratios"] == len(n_values)
+    assert len(chunks) >= 3 and built == {}
+    assert sum(chunk.pop("ratios", 0) for chunk in chunks) == interior > 0
+    assert all(chunk == {"runs": 1, "maps": 1, "splits": 1} for chunk in chunks), chunks
 
 
 def test_phase_curve_counts_each_remainder_once_per_chunk(monkeypatch):
-    """The range pass calls ``ways`` once per distinct remainder in each chunk.
+    """The range pass counts each distinct range of counted particles once per chunk.
 
     Fermion 2s=3 over N 0..5,999 spans several chunks, each holding every remainder
-    k < 8 many times; the dict dies with its chunk, so each chunk counts afresh.
+    k < 8 many times; the ranges are read in one ``light_ways`` call per chunk, which
+    takes each of them once, so each chunk counts afresh.
     """
-    chunks: list[list] = []
-    calls: list[collections.Counter] = []
-    chunk_coefficients, ways = information._chunk_coefficients, FermionFilling.ways
+    chunks: list[list[range]] = []
+    counted: list[list[range]] = []
+    chunk_coefficients, light_ways = information._chunk_coefficients, fermion.Fermions.light_ways
 
-    def recorded_chunk(chunk, geometry):
-        chunks.append([filling for filling, _ in chunk])
-        calls.append(collections.Counter())
-        return chunk_coefficients(chunk, geometry)
+    def recorded_chunk(species, chunk, geometry):
+        chunks.append([ps for ps, *_ in chunk])
+        return chunk_coefficients(species, chunk, geometry)
 
-    def counted_ways(filling, ms):
-        calls[-1][filling.remainder] += 1
-        return ways(filling, ms)
+    def recorded_ways(species, ranges):
+        counted.append(list(ranges))
+        return light_ways(species, ranges)
 
     monkeypatch.setattr(information, "_chunk_coefficients", recorded_chunk)
-    monkeypatch.setattr(FermionFilling, "ways", counted_ways)
+    monkeypatch.setattr(fermion.Fermions, "light_ways", recorded_ways)
     curve = phase.phase_curve(SpinStatistics.fermion(3), GEOM, range(6000))
-    assert len(curve) == 6000 and len(chunks) >= 3
-    for chunk, counted in zip(chunks, calls):
-        assert counted == {filling.remainder: 1 for filling in chunk}
+    assert len(curve) == 6000 and len(chunks) >= 3 and len(counted) == len(chunks)
+    for chunk, ranges in zip(chunks, counted):
+        assert ranges == list(dict.fromkeys(chunk)) and len(ranges) == 8
 
 
 def test_phase_curve_memory_does_not_grow_with_the_range():
